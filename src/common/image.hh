@@ -2,8 +2,7 @@
  * @file
  * Grayscale image container and the pixel-level operations shared by the
  * synthetic camera, the ORB feature-extraction substrate, and the
- * DNN front ends: bilinear resize, cropping, box filtering, integral
- * images and normalization to float tensor input.
+ * DNN front ends: bilinear resize, cropping and box filtering.
  */
 
 #ifndef AD_COMMON_IMAGE_HH
@@ -79,27 +78,6 @@ class Image
     int width_ = 0;
     int height_ = 0;
     std::vector<std::uint8_t> data_;
-};
-
-/**
- * Summed-area table over an Image, supporting O(1) rectangle sums. Used
- * by the oFAST orientation computation and the box filter.
- */
-class IntegralImage
-{
-  public:
-    explicit IntegralImage(const Image& img);
-
-    /** Sum of pixels in [x0, x1) x [y0, y1), clamped to the image. */
-    std::uint64_t rectSum(int x0, int y0, int x1, int y1) const;
-
-    int width() const { return width_; }
-    int height() const { return height_; }
-
-  private:
-    int width_ = 0;
-    int height_ = 0;
-    std::vector<std::uint64_t> sums_; ///< (width+1) x (height+1).
 };
 
 } // namespace ad

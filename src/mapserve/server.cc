@@ -244,29 +244,32 @@ TileServer::serveOne(const TileRequest& request, double* costMs)
     out.request = request;
     out.version = tileVersion(request.tile);
 
+    std::size_t rawBytes = 0;
     auto it = cache_.find(request.tile);
     if (it != cache_.end() && it->second.version == out.version) {
         out.cacheHit = true;
         out.payload = it->second.payload;
+        rawBytes = it->second.rawBytes;
         lru_.splice(lru_.begin(), lru_, it->second.lruIt);
         *costMs = params_.hitMs;
         ++stats_.cacheHits;
     } else {
-        out.payload = encodeTile(authoritative(request.tile));
+        const Tile tile = authoritative(request.tile);
+        out.payload = encodeTile(tile);
+        rawBytes = rawTileBytes(tile);
         *costMs = params_.missMs;
         ++stats_.cacheMisses;
-        cacheInsert(request.tile, out.payload, out.version);
+        cacheInsert(request.tile, out.payload, out.version, rawBytes);
     }
     stats_.bytesServed +=
         static_cast<std::int64_t>(out.payload.size());
-    stats_.rawBytes += static_cast<std::int64_t>(
-        rawTileBytes(authoritative(request.tile)));
+    stats_.rawBytes += static_cast<std::int64_t>(rawBytes);
     return out;
 }
 
 void
 TileServer::cacheInsert(TileId id, std::vector<std::uint8_t> payload,
-                        std::uint64_t version)
+                        std::uint64_t version, std::size_t rawBytes)
 {
     if (params_.cacheTiles == 0)
         return;
@@ -274,11 +277,13 @@ TileServer::cacheInsert(TileId id, std::vector<std::uint8_t> payload,
     if (it != cache_.end()) {
         it->second.payload = std::move(payload);
         it->second.version = version;
+        it->second.rawBytes = rawBytes;
         lru_.splice(lru_.begin(), lru_, it->second.lruIt);
         return;
     }
     lru_.push_front(id);
-    cache_[id] = CacheEntry{std::move(payload), version, lru_.begin()};
+    cache_[id] =
+        CacheEntry{std::move(payload), version, lru_.begin(), rawBytes};
     if (cache_.size() > params_.cacheTiles) {
         cache_.erase(lru_.back());
         lru_.pop_back();

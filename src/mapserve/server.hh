@@ -215,7 +215,7 @@ class TileServer
     /** Serve one request (cache lookup + encode); cost via *outMs. */
     ServedTile serveOne(const TileRequest& request, double* costMs);
     void cacheInsert(TileId id, std::vector<std::uint8_t> payload,
-                     std::uint64_t version);
+                     std::uint64_t version, std::size_t rawBytes);
 
     TileServerParams params_;
     const WorldModel& world_;
@@ -242,6 +242,7 @@ class TileServer
         std::vector<std::uint8_t> payload;
         std::uint64_t version = 0;
         std::list<TileId>::iterator lruIt; ///< position in lru_.
+        std::size_t rawBytes = 0; ///< rawTileBytes of the encoded tile.
     };
     std::map<TileId, CacheEntry> cache_;
     std::list<TileId> lru_; ///< most recently used at the front.

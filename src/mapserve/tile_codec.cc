@@ -121,6 +121,13 @@ decodeTile(TileId id, std::uint64_t version,
     std::memcpy(anchor, bytes.data() + cursor, kDescBytes);
     cursor += kDescBytes;
 
+    // Every point takes at least its 20 fixed bytes (id, dx, dy,
+    // height, mask); a count the payload cannot hold is corrupt, and
+    // must not size the allocation below.
+    constexpr std::size_t kMinPointBytes = 20;
+    if (count > (bytes.size() - cursor) / kMinPointBytes)
+        fatal("decodeTile: ", count, " points cannot fit the ",
+              bytes.size() - cursor, " bytes left");
     tile.points.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         TilePoint p;

@@ -18,15 +18,26 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/**
+ * The world's hash of (seed, a, b, c, salt) is four chained mix64
+ * rounds. The first three do not depend on c, so a caller hashing many
+ * c for one (a, b, salt) takes this prefix once and finishes each c
+ * with hashWith.
+ */
 std::uint64_t
-hashOf(std::uint64_t seed, std::int64_t a, std::int64_t b,
-       std::int64_t c, std::uint64_t salt)
+hashPrefix(std::uint64_t seed, std::int64_t a, std::int64_t b,
+           std::uint64_t salt)
 {
     std::uint64_t h = mix64(seed ^ salt);
     h = mix64(h ^ static_cast<std::uint64_t>(a));
-    h = mix64(h ^ static_cast<std::uint64_t>(b));
-    h = mix64(h ^ static_cast<std::uint64_t>(c));
-    return h;
+    return mix64(h ^ static_cast<std::uint64_t>(b));
+}
+
+/** The last round: the hash of (seed, a, b, c, salt) from its prefix. */
+std::uint64_t
+hashWith(std::uint64_t prefix, std::int64_t c)
+{
+    return mix64(prefix ^ static_cast<std::uint64_t>(c));
 }
 
 /** Hash mapped to a uniform double in [0, 1). */
@@ -90,11 +101,11 @@ WorldModel::tileAt(TileId id, float appearance) const
     tile.id = id;
     tile.appearance = appearance;
     tile.points.reserve(static_cast<std::size_t>(params_.pointsPerTile));
+    const std::uint64_t pos = hashPrefix(params_.seed, id.x, id.y, kSaltPos);
     for (int i = 0; i < params_.pointsPerTile; ++i) {
         TilePoint p;
         p.id = i;
-        const std::uint64_t hp =
-            hashOf(params_.seed, id.x, id.y, i, kSaltPos);
+        const std::uint64_t hp = hashWith(pos, i);
         p.dx = static_cast<float>(uniformOf(hp) * params_.tileSizeM);
         p.dy = static_cast<float>(uniformOf(mix64(hp)) *
                                   params_.tileSizeM);
@@ -113,16 +124,18 @@ WorldModel::observed(TileId id, int pointIndex,
     // Tile anchor: shared descriptor structure across the tile's
     // landmarks (what the codec's delta packing exploits).
     vision::Descriptor d;
+    const std::uint64_t anchor =
+        hashPrefix(params_.seed, id.x, id.y, kSaltAnchor);
     for (int w = 0; w < 4; ++w)
-        d.words[static_cast<std::size_t>(w)] =
-            hashOf(params_.seed, id.x, id.y, w, kSaltAnchor);
+        d.words[static_cast<std::size_t>(w)] = hashWith(anchor, w);
 
     // Per-point pattern: a sparse byte-level difference from the
     // anchor (4 hashed byte positions get hashed values).
+    const std::int64_t cell = id.x * 1024 + id.y;
+    const std::uint64_t pattern =
+        hashPrefix(params_.seed, cell, pointIndex, kSaltPattern);
     for (int k = 0; k < 4; ++k) {
-        const std::uint64_t h = hashOf(
-            params_.seed, id.x * 1024 + id.y, pointIndex, k,
-            kSaltPattern);
+        const std::uint64_t h = hashWith(pattern, k);
         const int byte = static_cast<int>(h % 32);
         const auto value =
             static_cast<std::uint64_t>((h >> 8) & 0xff);
@@ -137,10 +150,10 @@ WorldModel::observed(TileId id, int pointIndex,
     // the illumination state, so observations at a1 < a2 differ in
     // exactly the slots with u_k in (a1, a2].
     const int stride = 256 / params_.driftBits;
+    const std::uint64_t drift =
+        hashPrefix(params_.seed, cell, pointIndex, kSaltDrift);
     for (int k = 0; k < params_.driftBits; ++k) {
-        const std::uint64_t h = hashOf(
-            params_.seed, id.x * 1024 + id.y, pointIndex, k,
-            kSaltDrift);
+        const std::uint64_t h = hashWith(drift, k);
         const double threshold = uniformOf(h);
         if (threshold < static_cast<double>(appearance)) {
             const int bit =

@@ -29,10 +29,9 @@
  * pairs per int32 lane per instruction) by biasing the signed A
  * operand into u8 (+128) and subtracting 128 * colsum(B) afterwards --
  * an exact integer correction, so every tier is bit-identical to every
- * other. The AD_FORCE_ISA environment variable
- * (scalar/sse2/avx2/avx512vnni) pins the tier for A/B runs and the CI
- * cross-ISA leg; an unknown or unavailable name is a fatal() so a
- * typoed matrix entry cannot silently measure the wrong kernel.
+ * other. The tier comes from the shared resolver in common/isa.hh:
+ * AD_FORCE_ISA (scalar/sse2/avx2/avx512vnni) pins it for A/B runs and
+ * the CI cross-ISA legs.
  */
 
 #ifndef AD_NN_GEMM_INT8_HH
@@ -40,8 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "nn/kernel_context.hh"
 
@@ -89,27 +86,10 @@ void gemvInt8(std::size_t m, std::size_t k, const std::int16_t* a,
  * Name of the int8 micro-kernel dispatch tier currently in effect
  * ("avx512vnni", "avx2", "sse2" or "scalar") -- recorded into
  * BENCH_quant.json so the artifact states which ISA produced the
- * measured speedup. Reflects AD_FORCE_ISA / setInt8KernelIsa
- * overrides.
+ * measured speedup. The tier comes from the shared resolver in
+ * common/isa.hh, so it reflects AD_FORCE_ISA / setIsaTier overrides.
  */
 const char* int8KernelIsa();
-
-/**
- * Names of every dispatch tier this host can execute, ordered worst to
- * best ("scalar" first). The tier cross-check test iterates this list
- * and asserts all members produce bit-identical results.
- */
-std::vector<std::string> int8KernelIsaTiers();
-
-/**
- * Force the dispatch tier by name for this process; the empty string
- * restores automatic (best-available or AD_FORCE_ISA) selection.
- * Returns false -- changing nothing -- when the name is unknown or
- * the tier is unavailable on this host. Test hook; production
- * overrides use AD_FORCE_ISA so the choice is visible in the
- * environment block of a benchmark log.
- */
-bool setInt8KernelIsa(const std::string& name);
 
 } // namespace ad::nn
 

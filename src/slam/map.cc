@@ -157,6 +157,10 @@ PriorMap::load(std::istream& is)
         p.height = readRaw<float>(is);
         for (auto& w : p.desc.words)
             w = readRaw<std::uint64_t>(is);
+        // Checked per point: a corrupt count must end here, not after
+        // filling memory with default points.
+        if (!is)
+            fatal("PriorMap::load: truncated map stream");
         map.points_.push_back(p);
         map.index_.push_back({map.cellKey(p.pos),
                               static_cast<std::uint32_t>(i)});

@@ -3,15 +3,42 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <utility>
 
+#include "common/isa.hh"
 #include "common/random.hh"
 
 namespace ad::vision {
 
+namespace {
+
+#if defined(__x86_64__) || defined(__amd64__)
+/**
+ * Hamming distance with the POPCNT instruction. At the x86-64 baseline
+ * std::popcount compiles to a __popcountdi2 library call; the target
+ * attribute lets it become one instruction per word.
+ */
+__attribute__((target("popcnt"))) int
+hammingPopcnt(const std::array<std::uint64_t, 4>& a,
+              const std::array<std::uint64_t, 4>& b)
+{
+    int dist = 0;
+    for (int i = 0; i < 4; ++i)
+        dist += std::popcount(a[i] ^ b[i]);
+    return dist;
+}
+#endif
+
+} // namespace
+
 int
 Descriptor::hamming(const Descriptor& other) const
 {
+#if defined(__x86_64__) || defined(__amd64__)
+    if (currentIsaTier() != IsaTier::Scalar && hostHasPopcnt())
+        return hammingPopcnt(words, other.words);
+#endif
     int dist = 0;
     for (int i = 0; i < 4; ++i)
         dist += std::popcount(words[i] ^ other.words[i]);
@@ -68,21 +95,47 @@ BriefPattern::BriefPattern()
     }
 }
 
+namespace {
+
+/** The descriptor from a pixel reader px(dx, dy) around the keypoint. */
+template <class Px>
+Descriptor
+describeWith(const std::array<BriefPattern::TestPair, 256>& tests, Px px)
+{
+    // Branch-free bit assembly: the comparison outcomes are close to
+    // coin flips, so a branch per test would mostly mispredict.
+    Descriptor desc;
+    for (int i = 0; i < 256; ++i) {
+        const auto& t = tests[i];
+        desc.words[i >> 6] |=
+            static_cast<std::uint64_t>(px(t.ax, t.ay) < px(t.bx, t.by))
+            << (i & 63);
+    }
+    return desc;
+}
+
+} // namespace
+
 Descriptor
 describeKeypoint(const Image& smoothed, const Keypoint& kp)
 {
     const auto& tests = BriefPattern::instance().rotated(kp.orientationBin);
-    Descriptor desc;
     const int cx = static_cast<int>(kp.x);
     const int cy = static_cast<int>(kp.y);
-    for (int i = 0; i < 256; ++i) {
-        const auto& t = tests[i];
-        const int a = smoothed.atClamped(cx + t.ax, cy + t.ay);
-        const int b = smoothed.atClamped(cx + t.bx, cy + t.by);
-        if (a < b)
-            desc.words[i >> 6] |= 1ULL << (i & 63);
+    // Pattern coordinates lie in [-15, 15]: a keypoint that far inside
+    // reads raw pixels, one nearer the border reads clamped.
+    constexpr int reach = 15;
+    if (cx >= reach && cy >= reach && cx + reach < smoothed.width() &&
+        cy + reach < smoothed.height()) {
+        const std::uint8_t* p = smoothed.row(cy) + cx;
+        const std::ptrdiff_t stride = smoothed.width();
+        return describeWith(tests, [p, stride](int dx, int dy) {
+            return p[dy * stride + dx];
+        });
     }
-    return desc;
+    return describeWith(tests, [&smoothed, cx, cy](int dx, int dy) {
+        return smoothed.atClamped(cx + dx, cy + dy);
+    });
 }
 
 std::vector<Descriptor>

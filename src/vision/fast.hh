@@ -66,7 +66,9 @@ float harrisResponse(const Image& img, int x, int y);
 int intensityCentroidBin(const Image& img, int x, int y, TrigMode mode);
 
 /**
- * Run the full oFAST detector over an image.
+ * Run the full oFAST detector over an image. The segment test and the
+ * Harris scoring run on the current ISA tier (common/isa.hh); every
+ * tier returns the same keypoints bit for bit.
  *
  * @param img input grayscale image.
  * @param params detector tuning.

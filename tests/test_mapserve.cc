@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -89,7 +90,122 @@ TEST(TileCodec, ChecksumTracksContent)
     EXPECT_NE(tileChecksum(a), tileChecksum(b));
 }
 
+TEST(TileCodecDeathTest, CountBeyondPayloadIsFatal)
+{
+    // A header claiming 2^32 - 1 points over a payload that holds 12:
+    // the decoder must reject the count before sizing an allocation by
+    // it (which would throw bad_alloc instead of reporting corruption).
+    const WorldModel world(smallWorld());
+    std::vector<std::uint8_t> bytes = encodeTile(world.tileAt({1, 1}, 0.0f));
+    const std::uint32_t claimed = 0xFFFFFFFFu;
+    std::memcpy(bytes.data() + sizeof(std::uint32_t), &claimed,
+                sizeof(claimed));
+    EXPECT_EXIT((void)decodeTile({1, 1}, 0, bytes),
+                ::testing::ExitedWithCode(1), "cannot fit");
+}
+
 // ------------------------------------------------------------- world
+
+/**
+ * The world's hashes as first written, one full four-round chain per
+ * hash; WorldModel hoists the rounds that do not depend on the last
+ * argument and must still produce exactly these values.
+ */
+std::uint64_t
+refMix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+std::uint64_t
+refHashOf(std::uint64_t seed, std::int64_t a, std::int64_t b,
+          std::int64_t c, std::uint64_t salt)
+{
+    std::uint64_t h = refMix64(seed ^ salt);
+    h = refMix64(h ^ static_cast<std::uint64_t>(a));
+    h = refMix64(h ^ static_cast<std::uint64_t>(b));
+    return refMix64(h ^ static_cast<std::uint64_t>(c));
+}
+
+double
+refUniform(std::uint64_t h)
+{
+    return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+vision::Descriptor
+refObserved(const WorldParams& wp, TileId id, int pointIndex,
+            float appearance)
+{
+    vision::Descriptor d;
+    for (int w = 0; w < 4; ++w)
+        d.words[static_cast<std::size_t>(w)] =
+            refHashOf(wp.seed, id.x, id.y, w, 0xA0C4);
+    for (int k = 0; k < 4; ++k) {
+        const std::uint64_t h = refHashOf(wp.seed, id.x * 1024 + id.y,
+                                          pointIndex, k, 0xB3E7);
+        const int byte = static_cast<int>(h % 32);
+        const auto value = static_cast<std::uint64_t>((h >> 8) & 0xff);
+        auto& slot = d.words[static_cast<std::size_t>(byte / 8)];
+        const int shift = (byte % 8) * 8;
+        slot = (slot & ~(0xffull << shift)) | (value << shift);
+    }
+    const int stride = 256 / wp.driftBits;
+    for (int k = 0; k < wp.driftBits; ++k) {
+        const std::uint64_t h = refHashOf(wp.seed, id.x * 1024 + id.y,
+                                          pointIndex, k, 0xD82B);
+        if (refUniform(h) < static_cast<double>(appearance)) {
+            const int bit =
+                k * stride + static_cast<int>(refMix64(h) %
+                                              static_cast<std::uint64_t>(
+                                                  stride));
+            d.words[static_cast<std::size_t>(bit / 64)] ^=
+                1ull << (bit % 64);
+        }
+    }
+    return d;
+}
+
+TEST(WorldModel, HoistedHashesMatchTheFullChain)
+{
+    const WorldParams wp = smallWorld();
+    const WorldModel world(wp);
+    for (const float appearance : {0.0f, 0.05f, 0.5f, 1.0f}) {
+        for (int tx = 0; tx < wp.worldTiles; tx += 3) {
+            for (int ty = 0; ty < wp.worldTiles; ty += 2) {
+                const TileId id{tx, ty};
+                const Tile tile = world.tileAt(id, appearance);
+                ASSERT_EQ(tile.points.size(),
+                          static_cast<std::size_t>(wp.pointsPerTile));
+                for (int i = 0; i < wp.pointsPerTile; ++i) {
+                    const vision::Descriptor want =
+                        refObserved(wp, id, i, appearance);
+                    ASSERT_EQ(world.observed(id, i, appearance), want)
+                        << id.toString() << " point " << i << " at "
+                        << appearance;
+                    const TilePoint& p =
+                        tile.points[static_cast<std::size_t>(i)];
+                    const std::uint64_t hp =
+                        refHashOf(wp.seed, tx, ty, i, 0xC519);
+                    EXPECT_EQ(p.id, i);
+                    EXPECT_EQ(p.dx, static_cast<float>(refUniform(hp) *
+                                                       wp.tileSizeM));
+                    EXPECT_EQ(p.dy, static_cast<float>(
+                                        refUniform(refMix64(hp)) *
+                                        wp.tileSizeM));
+                    EXPECT_EQ(p.height,
+                              static_cast<float>(
+                                  refUniform(refMix64(refMix64(hp))) *
+                                  6.0));
+                    EXPECT_EQ(p.desc, want);
+                }
+            }
+        }
+    }
+}
 
 TEST(WorldModel, TilesArePureFunctionsOfTheSeed)
 {

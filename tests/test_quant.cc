@@ -17,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/isa.hh"
 #include "common/random.hh"
 #include "detect/yolo.hh"
 #include "nn/gemm_int8.hh"
@@ -130,7 +131,7 @@ TEST(GemmInt8, ReportsKnownIsa)
 
 TEST(GemmInt8, TierListContainsCurrentAndScalar)
 {
-    const auto tiers = int8KernelIsaTiers();
+    const auto tiers = availableIsaTiers();
     ASSERT_FALSE(tiers.empty());
     EXPECT_EQ(tiers.front(), "scalar");
     EXPECT_NE(std::find(tiers.begin(), tiers.end(),
@@ -140,7 +141,7 @@ TEST(GemmInt8, TierListContainsCurrentAndScalar)
 
 TEST(GemmInt8, RejectsUnknownOrUnavailableForcedIsa)
 {
-    EXPECT_FALSE(setInt8KernelIsa("avx9000"));
+    EXPECT_FALSE(setIsaTier("avx9000"));
     // Rejection must not disturb the ambient selection.
     const std::string isa = int8KernelIsa();
     EXPECT_TRUE(isa == "avx512vnni" || isa == "avx2" || isa == "sse2" ||
@@ -184,8 +185,8 @@ TEST(GemmInt8, AllAvailableTiersAgreeBitwise)
             refVec[static_cast<std::size_t>(i)] = acc;
         }
 
-        for (const std::string& tier : int8KernelIsaTiers()) {
-            ASSERT_TRUE(setInt8KernelIsa(tier)) << tier;
+        for (const std::string& tier : availableIsaTiers()) {
+            ASSERT_TRUE(setIsaTier(tier)) << tier;
             ASSERT_STREQ(int8KernelIsa(), tier.c_str());
             std::vector<std::int32_t> got(mn, 0);
             gemmInt8(m, n, k, aw.data(), b.data(), got.data());
@@ -198,7 +199,7 @@ TEST(GemmInt8, AllAvailableTiersAgreeBitwise)
             ASSERT_EQ(gotVec, refVec)
                 << "gemv tier " << tier << " shape " << m << "x" << k;
         }
-        ASSERT_TRUE(setInt8KernelIsa(""));
+        ASSERT_TRUE(setIsaTier(""));
     }
 }
 

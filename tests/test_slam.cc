@@ -79,6 +79,18 @@ TEST(PriorMap, FindSimilarUsesDescriptorGate)
     EXPECT_EQ(map.findSimilar({90.0, 10.0}, 1.0, d, 10), -1);
 }
 
+TEST(PriorMapDeathTest, LoadRejectsCountBeyondStream)
+{
+    // Eight bytes claiming 2^40 points: load must stop at the first
+    // missing point with its own diagnostic, not run out of memory
+    // filling default points.
+    std::stringstream ss;
+    const std::uint64_t claimed = 1ull << 40;
+    ss.write(reinterpret_cast<const char*>(&claimed), sizeof(claimed));
+    EXPECT_EXIT((void)PriorMap::load(ss), ::testing::ExitedWithCode(1),
+                "truncated map stream");
+}
+
 TEST(PriorMap, SerializationRoundTrip)
 {
     Rng rng(5);

@@ -2,15 +2,22 @@
  * @file
  * Tests for the ORB feature-extraction substrate: LUT trigonometry vs
  * libm, FAST segment test on synthetic corners, Harris ranking,
- * orientation, rBRIEF descriptor invariances, pyramid extraction and
- * descriptor matching.
+ * orientation, rBRIEF descriptor invariances, pyramid extraction,
+ * descriptor matching, and the cross-tier contract: every ISA tier's
+ * detector, extractor and Hamming distance equal the scalar tier's
+ * bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
+#include "common/isa.hh"
 #include "common/random.hh"
+#include "sensors/camera.hh"
+#include "sensors/scenario.hh"
 #include "vision/orb.hh"
 
 namespace {
@@ -329,6 +336,198 @@ TEST(Orb, MatcherEmptyInputs)
     std::vector<Descriptor> none;
     EXPECT_TRUE(matchDescriptors(a, none).empty());
     EXPECT_TRUE(matchDescriptors(none, a).empty());
+}
+
+// ------------------------------------------------------ cross-tier
+
+/** Restores the ambient ISA tier when a cross-tier test ends. */
+struct TierGuard
+{
+    ~TierGuard() { ad::setIsaTier(""); }
+};
+
+/** Seeded uniform-noise image: dense FAST responses at every level. */
+Image
+noiseImage(int width, int height, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Image img(width, height);
+    for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+            img.at(x, y) = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    return img;
+}
+
+/** Two rendered urban HHD frames, a few metres apart. */
+std::vector<Image>
+urbanFrames()
+{
+    Rng rng(3);
+    ad::sensors::ScenarioParams sp;
+    sp.roadLength = 200;
+    const ad::sensors::Scenario sc = ad::sensors::makeUrbanScenario(rng, sp);
+    const ad::sensors::Camera camera(ad::sensors::Resolution::HHD);
+    ad::sensors::World world = sc.world;
+    ad::Pose2 ego = sc.ego.pose;
+    std::vector<Image> frames;
+    for (int i = 0; i < 2; ++i) {
+        world.step(0.5);
+        ego.pos.x += sc.ego.speed * 0.5;
+        frames.push_back(camera.render(world, ego).image);
+    }
+    return frames;
+}
+
+/** Field-by-field keypoint equality, floats compared by their bits. */
+void
+expectSameKeypoints(const std::vector<Keypoint>& want,
+                    const std::vector<Keypoint>& got, const std::string& what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const Keypoint& a = want[i];
+        const Keypoint& b = got[i];
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(b.x),
+                  std::bit_cast<std::uint32_t>(a.x))
+            << what << " keypoint " << i;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(b.y),
+                  std::bit_cast<std::uint32_t>(a.y))
+            << what << " keypoint " << i;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(b.response),
+                  std::bit_cast<std::uint32_t>(a.response))
+            << what << " keypoint " << i;
+        ASSERT_EQ(b.orientationBin, a.orientationBin)
+            << what << " keypoint " << i;
+        ASSERT_EQ(b.level, a.level) << what << " keypoint " << i;
+    }
+}
+
+void
+expectSameCounts(const FastOpCounts& want, const FastOpCounts& got,
+                 const std::string& what)
+{
+    EXPECT_EQ(got.pixelsTested, want.pixelsTested) << what;
+    EXPECT_EQ(got.candidates, want.candidates) << what;
+    EXPECT_EQ(got.keypoints, want.keypoints) << what;
+}
+
+TEST(CrossTier, DetectFastMatchesScalarOnNoise)
+{
+    const TierGuard guard;
+    for (const int width : {33, 97, 640}) {
+        const Image img = noiseImage(width, 48, 100 + width);
+        for (const int threshold : {-1, 0, 1, 20, 254, 255, 300}) {
+            FastParams fp;
+            fp.threshold = threshold;
+            fp.maxKeypoints = 100000;
+            fp.cellSize = 1; // keep every candidate: no NMS masking
+            ASSERT_TRUE(ad::setIsaTier("scalar"));
+            FastOpCounts wantCounts;
+            const auto want = detectFast(img, fp, &wantCounts);
+            for (const std::string& tier : ad::availableIsaTiers()) {
+                ASSERT_TRUE(ad::setIsaTier(tier));
+                const std::string what = tier + " width " +
+                                         std::to_string(width) + " t " +
+                                         std::to_string(threshold);
+                FastOpCounts gotCounts;
+                expectSameKeypoints(want, detectFast(img, fp, &gotCounts),
+                                    what);
+                expectSameCounts(wantCounts, gotCounts, what);
+            }
+        }
+    }
+}
+
+TEST(CrossTier, DetectFastAgreesWithThePerPixelFunctions)
+{
+    // Every keypoint passes the public segment test and carries the
+    // clamped-reader Harris response and orientation, at every tier:
+    // this pins the raw-pointer and SSE2 Harris paths to harrisResponse.
+    const TierGuard guard;
+    const Image img = noiseImage(97, 64, 5);
+    FastParams fp;
+    fp.maxKeypoints = 100000;
+    fp.cellSize = 1;
+    for (const std::string& tier : ad::availableIsaTiers()) {
+        ASSERT_TRUE(ad::setIsaTier(tier));
+        const auto kps = detectFast(img, fp);
+        ASSERT_FALSE(kps.empty()) << tier;
+        for (const Keypoint& kp : kps) {
+            const int x = static_cast<int>(kp.x);
+            const int y = static_cast<int>(kp.y);
+            ASSERT_TRUE(fastSegmentTest(img, x, y, fp.threshold)) << tier;
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(kp.response),
+                      std::bit_cast<std::uint32_t>(harrisResponse(img, x, y)))
+                << tier << " at " << x << "," << y;
+            ASSERT_EQ(kp.orientationBin,
+                      intensityCentroidBin(img, x, y, fp.trigMode))
+                << tier << " at " << x << "," << y;
+        }
+    }
+}
+
+TEST(CrossTier, ExtractMatchesScalar)
+{
+    const TierGuard guard;
+    std::vector<Image> inputs = urbanFrames();
+    for (const int width : {33, 97, 640})
+        inputs.push_back(noiseImage(width, 120, 7 + width));
+    const OrbExtractor orb;
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+        ASSERT_TRUE(ad::setIsaTier("scalar"));
+        OrbProfile wantProfile;
+        const auto want = orb.extract(inputs[n], &wantProfile);
+        if (n < 2) {
+            ASSERT_GT(want.size(), 50u) << "urban frame " << n;
+        }
+        std::vector<Keypoint> wantKps;
+        for (const Feature& f : want)
+            wantKps.push_back(f.kp);
+        for (const std::string& tier : ad::availableIsaTiers()) {
+            ASSERT_TRUE(ad::setIsaTier(tier));
+            const std::string what = tier + " input " + std::to_string(n);
+            OrbProfile gotProfile;
+            const auto got = orb.extract(inputs[n], &gotProfile);
+            std::vector<Keypoint> gotKps;
+            for (const Feature& f : got)
+                gotKps.push_back(f.kp);
+            expectSameKeypoints(wantKps, gotKps, what);
+            for (std::size_t i = 0; i < want.size(); ++i)
+                ASSERT_EQ(got[i].desc, want[i].desc)
+                    << what << " descriptor " << i;
+            EXPECT_EQ(gotProfile.pixelsProcessed,
+                      wantProfile.pixelsProcessed)
+                << what;
+            expectSameCounts(wantProfile.fast, gotProfile.fast, what);
+            EXPECT_EQ(gotProfile.brief.binaryTests,
+                      wantProfile.brief.binaryTests)
+                << what;
+        }
+    }
+}
+
+TEST(CrossTier, HammingMatchesScalar)
+{
+    const TierGuard guard;
+    Rng rng(77);
+    std::vector<Descriptor> descs(64);
+    for (auto& d : descs)
+        for (auto& w : d.words)
+            w = rng();
+    descs[1].words = {~0ULL, ~0ULL, ~0ULL, ~0ULL};
+    ASSERT_TRUE(ad::setIsaTier("scalar"));
+    std::vector<int> want;
+    for (const auto& a : descs)
+        for (const auto& b : descs)
+            want.push_back(a.hamming(b));
+    EXPECT_EQ(descs[0].hamming(descs[0]), 0);
+    for (const std::string& tier : ad::availableIsaTiers()) {
+        ASSERT_TRUE(ad::setIsaTier(tier));
+        std::size_t k = 0;
+        for (const auto& a : descs)
+            for (const auto& b : descs)
+                ASSERT_EQ(a.hamming(b), want[k++]) << tier;
+    }
 }
 
 } // namespace

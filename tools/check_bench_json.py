@@ -2,7 +2,8 @@
 """Schema validator for the checked-in BENCH_*.json artifacts.
 
 The bench harnesses (bench_micro_kernels, bench_ext_serve_scale,
-bench_ext_quant_accuracy, bench_ext_pipeline_overlap) write
+bench_ext_quant_accuracy, bench_ext_pipeline_overlap,
+bench_ext_vision_fe, ...) write
 machine-readable artifacts that back
 speedup/accuracy claims in DESIGN.md. CI runs this script against the
 checked-in copies so a harness refactor cannot silently change an
@@ -440,6 +441,51 @@ def check_map(c, doc):
                    "check ran over an empty version log)")
 
 
+def check_vision(c, doc):
+    """BENCH_vision.json: ORB extraction time per ISA tier.
+
+    Bars: the best tier's median is at least 3x faster than the scalar
+    tier's, and every tier extracts the same features (equal digests).
+    """
+    host = c.require(doc, "host", [dict])
+    if host is not None:
+        for key in ("cpu", "ambient_tier", "compiler"):
+            c.require(host, key, [str], "host")
+        c.number(host, "nproc", "host", minimum=1)
+    work = c.require(doc, "workload", [dict])
+    if work is not None:
+        for key in ("frames", "width", "height", "repetitions"):
+            c.number(work, key, "workload", minimum=1)
+    tiers = c.rows(doc, "tiers")
+    by_name = {}
+    for i, row in enumerate(tiers):
+        ctx = f"tiers[{i}]"
+        name = c.require(row, "tier", [str], ctx)
+        for key in ("median_ms", "p25_ms", "p75_ms"):
+            c.number(row, key, ctx, minimum=0)
+        c.number(row, "speedup_vs_scalar", ctx, minimum=0)
+        c.number(row, "features", ctx, minimum=1)
+        c.require(row, "digest", [str], ctx)
+        if name is not None:
+            by_name[name] = row
+    scalar = by_name.get("scalar")
+    if scalar is None:
+        c.fail('no "scalar" tier row')
+        return
+    digests = {r.get("digest") for r in tiers}
+    if len(digests) != 1:
+        c.fail(f"tier digests differ: {sorted(map(str, digests))}")
+    if c.require(doc, "digests_agree", [bool]) is False:
+        c.fail("digests_agree is false")
+    medians = [r.get("median_ms") for r in tiers]
+    if len(tiers) > 1 and all(isinstance(m, (int, float)) and m > 0
+                              for m in medians):
+        speedup = scalar["median_ms"] / min(medians)
+        if speedup < 3.0:
+            c.fail(f"best tier is {speedup:.2f}x the scalar tier, need "
+                   ">= 3x")
+
+
 CHECKERS = {
     "BENCH_gemm.json": check_gemm,
     "BENCH_fleet.json": check_fleet,
@@ -447,6 +493,7 @@ CHECKERS = {
     "BENCH_serve.json": check_serve,
     "BENCH_quant.json": check_quant,
     "BENCH_pipeline.json": check_pipeline,
+    "BENCH_vision.json": check_vision,
 }
 
 
