@@ -71,24 +71,18 @@ convOutDim(int in, int kernel, int stride, int pad)
 
 } // namespace
 
-ForwardScratch&
-threadScratch()
+Tensor
+Layer::forward(const Tensor& in, const KernelContext& ctx) const
 {
+    // Layers are shared across threads, so the Tensor path keeps one
+    // scratch per thread. It runs the planned path's forwardInto, so
+    // the two paths are bitwise-identical by construction.
     static thread_local ForwardScratch scratch;
-    return scratch;
-}
-
-void
-Layer::forwardInto(const float* in, const Shape& inShape, float* out,
-                   ForwardScratch&, const KernelContext& ctx) const
-{
-    // Allocating fallback for layers without a raw-pointer override:
-    // round-trip through the Tensor interface. Correct inside a
-    // planned network, just not allocation-free.
-    Tensor t(inShape.c, inShape.h, inShape.w);
-    std::copy(in, in + inShape.elements(), t.data());
-    const Tensor r = forwardImpl(t, ctx);
-    std::copy(r.data(), r.data() + r.size(), out);
+    const Shape inShape{in.channels(), in.height(), in.width()};
+    const Shape outShape = outputShape(inShape);
+    Tensor out(outShape.c, outShape.h, outShape.w);
+    forwardInto(in.data(), inShape, out.data(), scratch, ctx);
+    return out;
 }
 
 Conv2D::Conv2D(std::string name, int inChannels, int outChannels,
@@ -116,16 +110,6 @@ Conv2D::outputShape(const Shape& in) const
         panic("Conv2D ", name(), ": input ", in.h, "x", in.w,
               " too small for kernel");
     return {outChannels_, oh, ow};
-}
-
-Tensor
-Conv2D::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    const Shape out = outputShape({in.channels(), in.height(), in.width()});
-    Tensor result(out.c, out.h, out.w);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                result.data(), threadScratch(), ctx);
-    return result;
 }
 
 /**
@@ -325,16 +309,6 @@ MaxPool::outputShape(const Shape& in) const
             (in.w - kernel_) / stride_ + 1};
 }
 
-Tensor
-MaxPool::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    const Shape out = outputShape({in.channels(), in.height(), in.width()});
-    Tensor result(out.c, out.h, out.w);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                result.data(), threadScratch(), ctx);
-    return result;
-}
-
 void
 MaxPool::forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch&, const KernelContext&) const
@@ -393,16 +367,6 @@ AvgPool::outputShape(const Shape& in) const
             (in.w - kernel_) / stride_ + 1};
 }
 
-Tensor
-AvgPool::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    const Shape out = outputShape({in.channels(), in.height(), in.width()});
-    Tensor result(out.c, out.h, out.w);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                result.data(), threadScratch(), ctx);
-    return result;
-}
-
 void
 AvgPool::forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch&, const KernelContext&) const
@@ -446,15 +410,6 @@ AvgPool::profile(const Shape& in) const
 
 Softmax::Softmax(std::string name) : Layer(std::move(name))
 {
-}
-
-Tensor
-Softmax::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    Tensor out(in.channels(), in.height(), in.width());
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                out.data(), threadScratch(), ctx);
-    return out;
 }
 
 void
@@ -503,15 +458,6 @@ Activation::Activation(std::string name, float leakySlope)
 {
 }
 
-Tensor
-Activation::forwardImpl(const Tensor& in, const KernelContext& ctx) const
-{
-    Tensor out = in;
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                out.data(), threadScratch(), ctx);
-    return out;
-}
-
 void
 Activation::forwardInto(const float* in, const Shape& inShape,
                         float* out, ForwardScratch&,
@@ -555,17 +501,6 @@ FullyConnected::outputShape(const Shape& in) const
         panic("FullyConnected ", name(), ": expected ", inFeatures_,
               " inputs, got ", in.elements());
     return {outFeatures_, 1, 1};
-}
-
-Tensor
-FullyConnected::forwardImpl(const Tensor& in,
-                            const KernelContext& ctx) const
-{
-    outputShape({in.channels(), in.height(), in.width()});
-    Tensor out(outFeatures_, 1, 1);
-    forwardInto(in.data(), {in.channels(), in.height(), in.width()},
-                out.data(), threadScratch(), ctx);
-    return out;
 }
 
 void

@@ -68,7 +68,7 @@ struct Shape
 };
 
 /**
- * Reusable scratch buffers for the raw-pointer execution path
+ * Reusable scratch buffers for the layer execution path
  * (Layer::forwardInto). One instance serves a whole sequential network:
  * layers execute one at a time, so they can share buffers, and all
  * growth is counted through scratchAssign/scratchResize -- after the
@@ -83,14 +83,6 @@ struct ForwardScratch
     std::vector<std::int16_t> qx;   ///< pre-widened FC activation.
     std::vector<std::int32_t> acc;  ///< int32 GEMM/GEMV accumulators.
 };
-
-/**
- * The shared thread-local ForwardScratch behind the legacy Tensor
- * forward path: forwardImpl routes through forwardInto using this
- * instance, so both paths execute identical code (and are therefore
- * bitwise-identical by construction).
- */
-ForwardScratch& threadScratch();
 
 /**
  * Abstract network layer. Layers are stateless with respect to
@@ -115,46 +107,32 @@ class Layer
     virtual Shape outputShape(const Shape& in) const = 0;
 
     /**
-     * Allocation-free execution path used by the planned/arena forward
-     * (nn/planner.hh): read the input at `in` with shape `inShape` and
-     * write the output to `out`, which the caller sized to
-     * outputShape(inShape) and which may alias arena storage (in and
-     * out never alias each other). Scratch comes from `scratch` and
-     * only grows on first use. Results are bitwise-identical to
-     * forward(). The base implementation falls back to forwardImpl
-     * through temporary tensors (allocating), so exotic layers stay
-     * correct inside a planned network without their own override.
+     * The layer's one execution entry, allocation-free and used
+     * directly by the planned/arena forward (nn/planner.hh): read the
+     * input at `in` with shape `inShape` and write the output to
+     * `out`, which the caller sized to outputShape(inShape) and which
+     * may alias arena storage (in and out never alias each other).
+     * Scratch comes from `scratch` and only grows on first use.
+     * Parallel contexts shard compute-heavy layers (conv, FC) across
+     * the pool; results are bitwise-identical to serial execution for
+     * any thread count.
      */
     virtual void forwardInto(const float* in, const Shape& inShape,
                              float* out, ForwardScratch& scratch,
-                             const KernelContext& ctx) const;
-
-    /** Execute the layer serially (the exact pre-parallel behavior). */
-    Tensor
-    forward(const Tensor& in) const
-    {
-        return forwardImpl(in, KernelContext::serial());
-    }
+                             const KernelContext& ctx) const = 0;
 
     /**
-     * Execute the layer under a kernel context. Parallel contexts
-     * shard compute-heavy layers (conv, FC) across the pool; results
-     * are bitwise-identical to serial execution for any thread count.
+     * Tensor convenience over forwardInto: allocate the output and
+     * run the layer on this thread's shared scratch. ctx is serial
+     * (the exact pre-parallel behavior) unless the caller opts in.
      */
-    Tensor
-    forward(const Tensor& in, const KernelContext& ctx) const
-    {
-        return forwardImpl(in, ctx);
-    }
+    Tensor forward(const Tensor& in,
+                   const KernelContext& ctx = KernelContext::serial()) const;
 
     /** Compute/memory footprint for the given input shape. */
     virtual LayerProfile profile(const Shape& in) const = 0;
 
   protected:
-    /** Layer execution; ctx is serial unless the caller opted in. */
-    virtual Tensor forwardImpl(const Tensor& in,
-                               const KernelContext& ctx) const = 0;
-
     /**
      * Rename the layer; the fusion pass (nn/fusion.hh) appends "+act"
      * when it folds a following Activation into this layer so traces
@@ -233,10 +211,6 @@ class Conv2D : public Layer
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
 
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
-
   private:
     void directRun(const float* in, const Shape& inShape,
                    const Shape& outShape, float* out,
@@ -284,10 +258,6 @@ class MaxPool : public Layer
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
 
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
-
   private:
     int kernel_;
     int stride_;
@@ -310,10 +280,6 @@ class AvgPool : public Layer
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
 
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
-
   private:
     int kernel_;
     int stride_;
@@ -335,10 +301,6 @@ class Softmax : public Layer
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
-
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
 };
 
 /** Pointwise activation: ReLU or LeakyReLU(slope). */
@@ -357,10 +319,6 @@ class Activation : public Layer
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
-
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
 
   private:
     float leakySlope_;
@@ -400,10 +358,6 @@ class FullyConnected : public Layer
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
-
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
 
   private:
     int inFeatures_;

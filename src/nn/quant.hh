@@ -169,10 +169,6 @@ class QuantConv2D : public Layer
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
 
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
-
   private:
     int inChannels_;
     int outChannels_;
@@ -217,10 +213,6 @@ class QuantFullyConnected : public Layer
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
-
-  protected:
-    Tensor forwardImpl(const Tensor& in,
-                       const KernelContext& ctx) const override;
 
   private:
     int inFeatures_;

@@ -39,14 +39,12 @@ SparseFullyConnected::outputShape(const Shape& in) const
     return {outFeatures_, 1, 1};
 }
 
-Tensor
-SparseFullyConnected::forwardImpl(const Tensor& in,
+void
+SparseFullyConnected::forwardInto(const float* x, const Shape& inShape,
+                                  float* y, ForwardScratch&,
                                   const KernelContext& ctx) const
 {
-    outputShape({in.channels(), in.height(), in.width()});
-    Tensor out(outFeatures_, 1, 1);
-    const float* x = in.data();
-    float* y = out.data();
+    outputShape(inShape);
     // CSR rows write disjoint outputs and each row reduces in index
     // order, so sharding over rows keeps results bitwise-serial.
     kernelParallelFor(
@@ -60,7 +58,6 @@ SparseFullyConnected::forwardImpl(const Tensor& in,
                 y[r] = acc;
             }
         });
-    return out;
 }
 
 LayerProfile

@@ -25,10 +25,23 @@ enum class Stage { Det = 0, Tra, Loc, Fusion, MotPlan };
 
 inline constexpr std::size_t kStageCount = 5;
 
-/** Short uppercase stage name ("DET", "TRA", ...). */
+/** Every stage in enum order, for loops over the stage record. */
+inline constexpr std::array<Stage, kStageCount> kStages = {
+    Stage::Det, Stage::Tra, Stage::Loc, Stage::Fusion, Stage::MotPlan};
+
+/**
+ * Short uppercase stage name ("DET", "TRA", ...): the one spelling of
+ * each stage in graph declarations, trace and flight spans and metric
+ * names.
+ */
 const char* stageName(Stage stage);
 
-/** Per-stage latencies of one frame, as fed to the watchdog (ms). */
+/**
+ * Per-stage latencies of one frame (ms): the pipeline's single
+ * per-frame stage record. Each stage writes its own entry; the
+ * latency recorders, metric histograms, flight spans, watchdog and
+ * governor all read this one record.
+ */
 struct FrameLatencySample
 {
     double detMs = 0;
@@ -37,11 +50,26 @@ struct FrameLatencySample
     double fusionMs = 0;
     double motPlanMs = 0;
 
+    /** The latency of @p stage (ms). */
+    double& operator[](Stage stage) { return this->*field(stage); }
+    double operator[](Stage stage) const { return this->*field(stage); }
+
     /** Parallel-branch composition (Figure 1). */
     double
     endToEndMs() const
     {
         return std::max(locMs, detMs + traMs) + fusionMs + motPlanMs;
+    }
+
+  private:
+    static constexpr double FrameLatencySample::*
+    field(Stage stage)
+    {
+        constexpr double FrameLatencySample::*kFields[kStageCount] = {
+            &FrameLatencySample::detMs, &FrameLatencySample::traMs,
+            &FrameLatencySample::locMs, &FrameLatencySample::fusionMs,
+            &FrameLatencySample::motPlanMs};
+        return kFields[static_cast<std::size_t>(stage)];
     }
 };
 

@@ -14,22 +14,16 @@ setupFromConfig(const Config& cfg)
     ObsOptions opt;
 
     // --trace may carry the output path (`--trace trace.json`) or be
-    // a bare flag (value "true"); obs.trace / obs.trace_file are the
-    // config-knob spellings of the same choice.
-    std::string traceArg = cfg.getString("trace");
-    if (traceArg == "true")
-        traceArg.clear();
-    opt.traceFile = !traceArg.empty()
-                        ? traceArg
-                        : cfg.getString("obs.trace_file");
-    opt.trace = !opt.traceFile.empty() || cfg.has("trace") ||
-                cfg.getBool("obs.trace", false);
-    if (opt.trace && opt.traceFile.empty())
-        opt.traceFile = "trace.json";
+    // a bare flag (value "true"), which writes trace.json.
+    opt.trace = cfg.has("trace");
+    if (opt.trace) {
+        opt.traceFile = cfg.getString("trace");
+        if (opt.traceFile.empty() || opt.traceFile == "true")
+            opt.traceFile = "trace.json";
+    }
 
     opt.traceNnLayers = cfg.getBool("obs.trace_nn", false);
-    opt.metricsDump = cfg.getBool("metrics", false) ||
-                      cfg.getBool("obs.metrics", false);
+    opt.metricsDump = cfg.getBool("metrics", false);
     opt.budgetMs = cfg.getDouble("obs.budget_ms", 100.0);
 
     opt.flight = cfg.getBool("obs.flight", true);
@@ -78,10 +72,7 @@ knownConfigKeys()
 {
     return {"trace",
             "metrics",
-            "obs.trace",
-            "obs.trace_file",
             "obs.trace_nn",
-            "obs.metrics",
             "obs.budget_ms",
             "obs.flight",
             "obs.flight_file",

@@ -6,10 +6,7 @@
  *
  *   --trace <file>    enable tracing and write a Chrome trace there
  *   --metrics         enable the metric registry and dump it on exit
- *   --obs.trace       bool knob form of --trace
- *   --obs.trace_file  trace output path (default trace.json)
  *   --obs.trace_nn    also emit per-NN-layer spans (off by default)
- *   --obs.metrics     bool knob form of --metrics
  *   --obs.budget_ms   deadline watchdog budget (default 100)
  *   --obs.flight      flight recorder master switch (default on)
  *   --obs.flight_file      post-mortem dump path (default flight.json)

@@ -251,6 +251,46 @@ FrameGraphExecutor::stageErrorCount() const
     return stageErrors_;
 }
 
+FrameGraphExecutor::StageTiming
+FrameGraphExecutor::place(const FrameGraph& graph, int stage,
+                          double admitMs, double stageFreeMs,
+                          const std::vector<StageTiming>& placed,
+                          double durMs)
+{
+    double start = std::max(admitMs, stageFreeMs);
+    for (FrameGraph::StageId in : graph.inputs(stage))
+        start = std::max(start,
+                         placed[static_cast<std::size_t>(in)].endMs);
+    return {start, durMs, start + durMs};
+}
+
+double
+FrameGraphExecutor::commitTime(double admitMs,
+                               const std::vector<StageTiming>& stages)
+{
+    double commitMs = admitMs;
+    for (const StageTiming& t : stages)
+        commitMs = std::max(commitMs, t.endMs);
+    return commitMs;
+}
+
+FrameGraphExecutor::FrameTiming
+FrameGraphExecutor::runInline(const FrameGraph& graph, std::int64_t frame,
+                              double arrivalMs)
+{
+    FrameTiming timing;
+    timing.frame = frame;
+    timing.arrivalMs = arrivalMs;
+    timing.admitMs = arrivalMs;
+    timing.stages.resize(graph.stageCount());
+    for (const FrameGraph::StageId s : graph.topologicalOrder())
+        timing.stages[static_cast<std::size_t>(s)] =
+            place(graph, s, arrivalMs, arrivalMs, timing.stages,
+                  graph.runStage(s, frame));
+    timing.commitMs = commitTime(arrivalMs, timing.stages);
+    return timing;
+}
+
 void
 FrameGraphExecutor::runStage(int stage, std::int64_t frame)
 {
@@ -294,18 +334,9 @@ FrameGraphExecutor::taskDone(int stage, std::int64_t frame,
         InFlight& f = slots_[slot];
         const auto si = static_cast<std::size_t>(stage);
 
-        // Pipelined-latency recurrence: the stage starts when the
-        // frame is admitted, the stage itself is free, and every
-        // input is ready. All three operands are schedule-independent.
-        double start = f.admitMs;
-        start = std::max(start, stageFreeMs_[si]);
-        for (FrameGraph::StageId in : graph_.inputs(stage))
-            start = std::max(
-                start, f.stages[static_cast<std::size_t>(in)].endMs);
-        StageTiming& t = f.stages[si];
-        t.startMs = start;
-        t.durMs = durMs;
-        t.endMs = start + durMs;
+        const StageTiming t = place(graph_, stage, f.admitMs,
+                                    stageFreeMs_[si], f.stages, durMs);
+        f.stages[si] = t;
         stageFreeMs_[si] = t.endMs;
         ++f.stagesDone;
         stageBusy_[si] = 0;
@@ -391,9 +422,7 @@ FrameGraphExecutor::commitFinishedLocked()
         timing.arrivalMs = f.arrivalMs;
         timing.admitMs = f.admitMs;
         timing.stages = f.stages;
-        double commitMs = f.admitMs;
-        for (const StageTiming& t : timing.stages)
-            commitMs = std::max(commitMs, t.endMs);
+        const double commitMs = commitTime(f.admitMs, f.stages);
         timing.commitMs = commitMs;
         slotCommitMs_[slot] = commitMs;
         lastCommitMs_ = commitMs;

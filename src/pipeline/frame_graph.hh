@@ -198,6 +198,20 @@ class FrameGraphExecutor
         std::vector<StageTiming> stages; ///< indexed by StageId.
     };
 
+    /**
+     * Run one frame through @p graph on the calling thread with no
+     * other frame in flight: stage bodies execute in topological
+     * order, and each run is placed on the virtual timeline by the
+     * executor's own recurrence (as at depth 1 with every stage free
+     * at arrival). A throwing stage body propagates to the caller.
+     *
+     * @param graph a graph that passed FrameGraph::validate().
+     * @param frame frame id handed to every stage body.
+     * @param arrivalMs the frame's arrival (and admission) time.
+     */
+    static FrameTiming runInline(const FrameGraph& graph,
+                                 std::int64_t frame, double arrivalMs);
+
     /** Called in submit order, under the executor lock. */
     using AdmitFn = std::function<void(std::int64_t frame)>;
 
@@ -259,6 +273,21 @@ class FrameGraphExecutor
         std::vector<StageTiming> stages;
         std::size_t stagesDone = 0;
     };
+
+    /**
+     * The pipelined-latency recurrence: a stage run of a frame
+     * admitted at @p admitMs starts once the stage is free
+     * (@p stageFreeMs) and every input in @p placed has ended. All
+     * operands are schedule-independent.
+     */
+    static StageTiming place(const FrameGraph& graph, int stage,
+                             double admitMs, double stageFreeMs,
+                             const std::vector<StageTiming>& placed,
+                             double durMs);
+
+    /** Commit time of a frame: its admission or last stage end. */
+    static double commitTime(double admitMs,
+                             const std::vector<StageTiming>& stages);
 
     /** Run stage body outside the lock, then record completion. */
     void runStage(int stage, std::int64_t frame);

@@ -1,5 +1,8 @@
 #include "pipeline/pipeline.hh"
 
+#include <cctype>
+
+#include "common/logging.hh"
 #include "common/time.hh"
 #include "obs/flight.hh"
 #include "obs/metrics.hh"
@@ -33,11 +36,35 @@ applyNnOverrides(PipelineParams p)
     return p;
 }
 
-/** Virtual spike milliseconds injected on one stage this frame. */
-double
-spikeOn(const FaultPlan& fault, obs::Stage stage)
+using obs::Stage;
+
+/** The root stage: sensor corruption, not one of the measured five. */
+constexpr const char* kSenseStage = "SENSE";
+
+/**
+ * Flight-recorder track of each stage (by Stage): the DET->TRA chain
+ * on track 1 and LOC on track 2, since the parallel perception
+ * branches partially overlap on the shared timeline; FUSION and
+ * MOTPLAN share track 0 with the FRAME span.
+ */
+constexpr int kFlightTrack[obs::kStageCount] = {1, 1, 2, 0, 0};
+
+/** The `pipeline.<stage>_ms` histogram name of each stage. */
+const std::string&
+stageMetricName(Stage stage)
 {
-    return fault.spikeMs[static_cast<std::size_t>(stage)];
+    static const auto names = [] {
+        std::array<std::string, obs::kStageCount> n;
+        for (const Stage s : obs::kStages) {
+            std::string lower = obs::stageName(s);
+            for (char& c : lower)
+                c = static_cast<char>(
+                    std::tolower(static_cast<unsigned char>(c)));
+            n[static_cast<std::size_t>(s)] = "pipeline." + lower + "_ms";
+        }
+        return n;
+    }();
+    return names[static_cast<std::size_t>(stage)];
 }
 
 } // namespace
@@ -63,6 +90,8 @@ Pipeline::Pipeline(const slam::PriorMap* map,
         degradedDetector_.emplace(params_.detector.scaledInput(
             params_.governor.degradedDetScale));
     }
+    graph_ = buildGraph();
+    jobs_ = std::vector<FrameJob>(1);
     if (params_.async)
         setupExecutor();
 }
@@ -112,46 +141,57 @@ Pipeline::buildGraph()
     // corrupted) frame in parallel, TRA consumes DET, FUSION joins
     // TRA with LOC, and planning consumes the fused scene plus the
     // pose. Each stage fn returns its virtual cost so the executor's
-    // timeline composes exactly like endToEndMs().
-    auto job = [this](std::int64_t f) -> FrameJob& {
-        return jobs_[static_cast<std::size_t>(f % depth_)];
-    };
+    // timeline composes exactly like endToEndMs(). Declaration order
+    // fixes the topological order, and so the serial stage order.
     FrameGraph g;
-    senseStage_ = g.addStage("SENSE", {}, [this, job](std::int64_t f) {
-        stageSense(job(f));
+    g.addStage(kSenseStage, {}, [this](std::int64_t f) {
+        stageSense(jobAt(f));
         return 0.0;
     });
-    detStage_ =
-        g.addStage("DET", {"SENSE"}, [this, job](std::int64_t f) {
-            FrameJob& j = job(f);
-            stageDet(j);
-            return j.out.latencies.detMs;
-        });
-    locStage_ =
-        g.addStage("LOC", {"SENSE"}, [this, job](std::int64_t f) {
-            FrameJob& j = job(f);
-            stageLoc(j);
-            return j.out.latencies.locMs;
-        });
-    traStage_ = g.addStage("TRA", {"SENSE", "DET"},
-                           [this, job](std::int64_t f) {
-                               FrameJob& j = job(f);
-                               stageTra(j);
-                               return j.out.latencies.traMs;
-                           });
-    fusionStage_ = g.addStage("FUSION", {"TRA", "LOC"},
-                              [this, job](std::int64_t f) {
-                                  FrameJob& j = job(f);
-                                  stageFusion(j);
-                                  return j.out.latencies.fusionMs;
-                              });
-    planStage_ = g.addStage("MOTPLAN", {"FUSION", "LOC"},
-                            [this, job](std::int64_t f) {
-                                FrameJob& j = job(f);
-                                stagePlan(j);
-                                return j.out.latencies.motPlanMs;
-                            });
+    // The stage wrapper: run the body, add this stage's injected
+    // spike, and write the frame's stage record.
+    const auto add = [&](Stage stage, std::vector<std::string> inputs,
+                         double (Pipeline::*body)(FrameJob&)) {
+        stageIds_[static_cast<std::size_t>(stage)] = g.addStage(
+            obs::stageName(stage), std::move(inputs),
+            [this, stage, body](std::int64_t f) {
+                FrameJob& job = jobAt(f);
+                const double ms =
+                    (this->*body)(job) +
+                    job.fault.spikeMs[static_cast<std::size_t>(stage)];
+                job.out.latencies[stage] = ms;
+                return ms;
+            });
+    };
+    const auto name = [](Stage s) { return std::string(obs::stageName(s)); };
+    add(Stage::Det, {kSenseStage}, &Pipeline::stageDet);
+    add(Stage::Loc, {kSenseStage}, &Pipeline::stageLoc);
+    add(Stage::Tra, {kSenseStage, name(Stage::Det)}, &Pipeline::stageTra);
+    add(Stage::Fusion, {name(Stage::Tra), name(Stage::Loc)},
+        &Pipeline::stageFusion);
+    add(Stage::MotPlan, {name(Stage::Fusion), name(Stage::Loc)},
+        &Pipeline::stagePlan);
+    if (const auto err = g.validate())
+        panic("pipeline stage graph: ", *err);
     return g;
+}
+
+Pipeline::FrameJob&
+Pipeline::startJob(std::int64_t f, double dt, double egoSpeed,
+                   const FramePlan& plan)
+{
+    FrameJob& job = jobAt(f);
+    job = FrameJob{};
+    job.id = frameIndex_++;
+    job.dt = dt;
+    job.egoSpeed = egoSpeed;
+    job.timeS = time_;
+    job.fault = faults_ ? faults_->planFrame() : FaultPlan{};
+    job.plan = plan;
+    job.out.frameId = job.id;
+    job.out.mode = plan.mode;
+    job.out.frameDropped = job.fault.dropFrame;
+    return job;
 }
 
 void
@@ -171,30 +211,22 @@ Pipeline::setupExecutor()
     ep.depth = depth_;
     ep.scheduleSeed = params_.scheduleSeed;
     exec_ = std::make_unique<FrameGraphExecutor>(
-        buildGraph(), ep,
+        graph_, ep,
         // Admission (submit order, under the executor lock): draw the
         // frame's fault plan and pop its staged governor plan -- the
         // seeded draws happen in frame order whatever the workers do.
         [this](std::int64_t execFrame) {
+            FramePlan plan;
+            if (governor_) {
+                plan = planQueue_.front();
+                planQueue_.pop_front();
+            }
             FrameJob& job =
-                jobs_[static_cast<std::size_t>(execFrame % depth_)];
-            job = FrameJob{};
-            job.id = frameIndex_++;
-            job.dt = pendingDt_;
-            job.egoSpeed = pendingSpeed_;
-            job.timeS = time_;
+                startJob(execFrame, pendingDt_, pendingSpeed_, plan);
             job.image = *pendingImage_;
             job.frame = &job.image;
             job.odom = std::move(pendingOdom_);
             pendingOdom_.clear();
-            job.fault = faults_ ? faults_->planFrame() : FaultPlan{};
-            if (governor_) {
-                job.plan = planQueue_.front();
-                planQueue_.pop_front();
-            }
-            job.out.frameId = job.id;
-            job.out.mode = job.plan.mode;
-            job.out.frameDropped = job.fault.dropFrame;
             if (obs::tracer().enabled())
                 job.traceStartUs = obs::tracer().nowUs();
         },
@@ -202,9 +234,20 @@ Pipeline::setupExecutor()
         // epilogue plus staging the plan for frame id + depth.
         [this](std::int64_t execFrame,
                const FrameGraphExecutor::FrameTiming& timing) {
-            FrameJob& job =
-                jobs_[static_cast<std::size_t>(execFrame % depth_)];
-            commitJob(job, &timing);
+            FrameJob& job = jobAt(execFrame);
+            // No TraceSpan encloses an async frame (stages record
+            // their own spans from pool threads): emit the wall-clock
+            // admission-to-commit FRAME span here instead.
+            auto& tracerRef = obs::tracer();
+            if (tracerRef.enabled())
+                tracerRef.record("FRAME", "frame", job.traceStartUs,
+                                 tracerRef.nowUs() - job.traceStartUs,
+                                 job.id);
+            commitJob(job, timing);
+            // Stage the governor plan for the frame `depth` ahead,
+            // computed with exactly the feedback available now.
+            if (governor_)
+                planQueue_.push_back(governor_->plan(job.id + depth_));
             std::lock_guard<std::mutex> lock(readyMutex_);
             ready_.push_back(std::move(job.out));
         });
@@ -213,34 +256,21 @@ Pipeline::setupExecutor()
 FrameOutput
 Pipeline::processFrame(const Image& image, double dt, double egoSpeed)
 {
-    FrameJob job;
     time_ += dt;
-    job.id = frameIndex_++;
-    job.dt = dt;
-    job.egoSpeed = egoSpeed;
-    job.timeS = time_;
-    job.frame = &image;
-    job.out.frameId = job.id;
+    const std::int64_t id = frameIndex_;
     auto& tracerRef = obs::tracer();
     if (tracerRef.enabled())
-        tracerRef.setFrame(job.id);
-    obs::TraceSpan frameSpan(tracerRef, "FRAME", "frame", job.id);
+        tracerRef.setFrame(id);
+    obs::TraceSpan frameSpan(tracerRef, "FRAME", "frame", id);
 
     // Fault plan for this frame (a fixed number of seeded draws) and
     // the governor's actuation plan. With both subsystems disabled
     // this degenerates to "run everything", the pre-governor flow.
-    job.fault = faults_ ? faults_->planFrame() : FaultPlan{};
-    job.plan = governor_ ? governor_->plan(job.id) : FramePlan{};
-    job.out.mode = job.plan.mode;
-    job.out.frameDropped = job.fault.dropFrame;
-
-    stageSense(job);
-    stageDet(job);
-    stageLoc(job);
-    stageTra(job);
-    stageFusion(job);
-    stagePlan(job);
-    commitJob(job, nullptr);
+    FrameJob& job = startJob(id, dt, egoSpeed,
+                             governor_ ? governor_->plan(id) : FramePlan{});
+    job.frame = &image;
+    commitJob(job, FrameGraphExecutor::runInline(graph_, id,
+                                                 job.timeS * 1000.0));
     return std::move(job.out);
 }
 
@@ -299,7 +329,7 @@ Pipeline::stageSense(FrameJob& job)
     }
 }
 
-void
+double
 Pipeline::stageDet(FrameJob& job)
 {
     // --- (1a) Object detection. ---
@@ -307,7 +337,7 @@ Pipeline::stageDet(FrameJob& job)
     const int maxStale = params_.governor.maxStaleFrames;
     const bool wantDet = job.plan.runDet && !job.fault.dropFrame;
     if (wantDet && !job.fault.detFail) {
-        obs::TraceSpan span(obs::tracer(), "DET");
+        obs::TraceSpan span(obs::tracer(), obs::stageName(Stage::Det));
         detect::YoloDetector& det =
             job.plan.degradedDet && degradedDetector_
                 ? *degradedDetector_
@@ -325,11 +355,10 @@ Pipeline::stageDet(FrameJob& job)
             out.detFellBack = true;
         }
     }
-    out.latencies.detMs =
-        job.detTimings.totalMs + spikeOn(job.fault, obs::Stage::Det);
+    return job.detTimings.totalMs;
 }
 
-void
+double
 Pipeline::stageLoc(FrameJob& job)
 {
     // --- (1b) Localization (logically parallel with DET). ---
@@ -337,7 +366,7 @@ Pipeline::stageLoc(FrameJob& job)
     for (const auto& odo : job.odom)
         localizer_.feedOdometry(odo);
     if (!job.fault.dropFrame && !job.fault.locFail) {
-        obs::TraceSpan span(obs::tracer(), "LOC");
+        obs::TraceSpan span(obs::tracer(), obs::stageName(Stage::Loc));
         out.localization = localizer_.localize(*job.frame, job.dt);
         if (out.localization.ok) {
             if (job.dt > 0)
@@ -361,17 +390,16 @@ Pipeline::stageLoc(FrameJob& job)
             locStaleFrames_ > params_.governor.maxStaleFrames)
             job.locStaleExceeded = true;
     }
-    out.latencies.locMs = out.localization.timings.totalMs +
-                          spikeOn(job.fault, obs::Stage::Loc);
+    return out.localization.timings.totalMs;
 }
 
-void
+double
 Pipeline::stageTra(FrameJob& job)
 {
     // --- (1c) Object tracking. ---
     FrameOutput& out = job.out;
     {
-        obs::TraceSpan span(obs::tracer(), "TRA");
+        obs::TraceSpan span(obs::tracer(), obs::stageName(Stage::Tra));
         if (job.fault.dropFrame || job.fault.traFail) {
             trackerPool_.coastBlind(&job.traTimings);
             out.traCoasted = true;
@@ -386,25 +414,23 @@ Pipeline::stageTra(FrameJob& job)
         }
     }
     out.tracks = trackerPool_.tracks();
-    out.latencies.traMs =
-        job.traTimings.totalMs + spikeOn(job.fault, obs::Stage::Tra);
+    return job.traTimings.totalMs;
 }
 
-void
+double
 Pipeline::stageFusion(FrameJob& job)
 {
     // --- (2) Fusion onto the world coordinate space. ---
     FrameOutput& out = job.out;
     {
-        obs::TraceSpan span(obs::tracer(), "FUSION");
+        obs::TraceSpan span(obs::tracer(), obs::stageName(Stage::Fusion));
         out.scene = fusion_.fuse(out.tracks, out.localization.pose,
                                  job.dt, job.timeS);
     }
-    out.latencies.fusionMs =
-        fusion_.lastFuseMs() + spikeOn(job.fault, obs::Stage::Fusion);
+    return fusion_.lastFuseMs();
 }
 
-void
+double
 Pipeline::stagePlan(FrameJob& job)
 {
     FrameOutput& out = job.out;
@@ -415,8 +441,9 @@ Pipeline::stagePlan(FrameJob& job)
             mission_->checkDeviation(out.localization.pose.pos);
 
     // --- (3) Motion planning on the fused scene. ---
+    double planMs = 0;
     {
-        obs::TraceSpan span(obs::tracer(), "MOTPLAN");
+        obs::TraceSpan span(obs::tracer(), obs::stageName(Stage::MotPlan));
         Stopwatch watch;
         std::vector<planning::PredictedObstacle> obstacles;
         obstacles.reserve(out.scene.objects.size());
@@ -426,9 +453,8 @@ Pipeline::stagePlan(FrameJob& job)
         out.trajectory = planning::planConformal(
             out.localization.pose, params_.laneCenterY, obstacles,
             params_.motionPlanner);
-        out.latencies.motPlanMs = watch.elapsedMs();
+        planMs = watch.elapsedMs();
     }
-    out.latencies.motPlanMs += spikeOn(job.fault, obs::Stage::MotPlan);
 
     // --- (5) Vehicle control. ---
     planning::VehicleState state;
@@ -441,25 +467,16 @@ Pipeline::stagePlan(FrameJob& job)
         out.command.steering = 0.0;
         out.command.acceleration = -params_.control.maxBrake;
     }
+    return planMs;
 }
 
 void
 Pipeline::commitJob(FrameJob& job,
-                    const FrameGraphExecutor::FrameTiming* timing)
+                    const FrameGraphExecutor::FrameTiming& timing)
 {
     FrameOutput& out = job.out;
+    const obs::FrameLatencySample& lat = out.latencies;
     const std::int64_t frameId = job.id;
-
-    // Async mode has no enclosing TraceSpan (stages record their own
-    // spans from pool threads); emit the wall-clock
-    // admission-to-commit FRAME span here instead.
-    if (timing) {
-        auto& tracerRef = obs::tracer();
-        if (tracerRef.enabled())
-            tracerRef.record("FRAME", "frame", job.traceStartUs,
-                             tracerRef.nowUs() - job.traceStartUs,
-                             frameId);
-    }
 
     // Bounded-staleness escalation surfaced by the LOC stage; raised
     // here so the transition lands before this frame's observe(),
@@ -476,14 +493,11 @@ Pipeline::commitJob(FrameJob& job,
     cycles_.traOtherMs +=
         job.traTimings.totalMs - job.traTimings.tracker.dnnMs;
 
-    detRec_.record(out.latencies.detMs);
-    traRec_.record(out.latencies.traMs);
-    locRec_.record(out.latencies.locMs);
-    fusionRec_.record(out.latencies.fusionMs);
-    motRec_.record(out.latencies.motPlanMs);
-    e2eRec_.record(out.latencies.endToEndMs());
-    out.pipelinedMs = timing ? timing->commitMs - timing->arrivalMs
-                             : out.latencies.endToEndMs();
+    const double e2e = lat.endToEndMs();
+    out.pipelinedMs = timing.commitMs - timing.arrivalMs;
+    for (const Stage s : obs::kStages)
+        stageRec_[static_cast<std::size_t>(s)].record(lat[s]);
+    e2eRec_.record(e2e);
     pipelinedRec_.record(out.pipelinedMs);
 
     // Deadline watchdog: every frame, whatever the obs switches say
@@ -493,76 +507,35 @@ Pipeline::commitJob(FrameJob& job,
     // real stalls. Both consume the *composition* latency -- the
     // per-frame cost independent of pipelining -- so their decisions
     // are identical across execution modes.
-    const obs::FrameLatencySample sample{
-        out.latencies.detMs, out.latencies.traMs, out.latencies.locMs,
-        out.latencies.fusionMs, out.latencies.motPlanMs};
-    deadline_.observe(frameId, sample);
+    deadline_.observe(frameId, lat);
     if (governor_)
-        governor_->observe(frameId, sample);
+        governor_->observe(frameId, lat);
 
     // Flight recorder: the frame's history on the pipeline's virtual
     // timeline (ms of simulated time), so a deterministic run yields
     // a deterministic post-mortem. Purely observational -- nothing
-    // the engines read is touched. The async path emits the same six
-    // spans per frame (event conservation), positioned at the
-    // executor's virtual stage times instead of the serial layout.
+    // the engines read is touched. Both modes emit the same six spans
+    // per frame (event conservation) at the stage times in @p timing:
+    // the executor's pipelined schedule, or the unloaded layout.
     auto& fl = obs::flight();
     if (fl.enabled()) {
-        auto& tracerRef = obs::tracer();
         const double t0 = job.timeS * 1000.0;
-        const double e2e = out.latencies.endToEndMs();
-        const double perception = std::max(
-            out.latencies.locMs,
-            out.latencies.detMs + out.latencies.traMs);
-        // DET->TRA chain on track 1, LOC on track 2: the parallel
-        // perception branches partially overlap on the shared
-        // timeline, so each branch nests on its own track.
-        struct SpanRow
-        {
-            const char* name;
-            double start;
-            double dur;
-            int track;
-        };
-        SpanRow spans[] = {
-            {"FRAME", t0, e2e, 0},
-            {"DET", t0, out.latencies.detMs, 1},
-            {"TRA", t0 + out.latencies.detMs, out.latencies.traMs, 1},
-            {"LOC", t0, out.latencies.locMs, 2},
-            {"FUSION", t0 + perception, out.latencies.fusionMs, 0},
-            {"MOTPLAN", t0 + perception + out.latencies.fusionMs,
-             out.latencies.motPlanMs, 0},
-        };
-        if (timing) {
-            // Executor placement: admission shift plus cross-frame
-            // stage contention, the actual pipelined schedule.
-            auto at = [&](int stage) {
-                return timing->stages[static_cast<std::size_t>(stage)];
-            };
-            spans[0].start = timing->admitMs;
-            spans[0].dur = timing->commitMs - timing->admitMs;
-            spans[1].start = at(detStage_).startMs;
-            spans[1].dur = at(detStage_).durMs;
-            spans[2].start = at(traStage_).startMs;
-            spans[2].dur = at(traStage_).durMs;
-            spans[3].start = at(locStage_).startMs;
-            spans[3].dur = at(locStage_).durMs;
-            spans[4].start = at(fusionStage_).startMs;
-            spans[4].dur = at(fusionStage_).durMs;
-            spans[5].start = at(planStage_).startMs;
-            spans[5].dur = at(planStage_).durMs;
-        }
-        const bool perfOn = tracerRef.perfSpansEnabled();
-        for (const auto& sp : spans) {
-            fl.recordSpan(0, sp.name, frameId, sp.start, sp.dur,
-                          sp.track);
+        const bool perfOn = obs::tracer().perfSpansEnabled();
+        const auto span = [&](const char* name, double start, double dur,
+                              int track) {
+            fl.recordSpan(0, name, frameId, start, dur, track);
             // Re-emit the wall-clock perf delta sampled over this
             // stage's trace span at the stage's virtual position.
             if (perfOn)
-                if (const obs::PerfDelta* d =
-                        obs::latestPerfDelta(sp.name))
-                    fl.recordPerf(0, sp.name, frameId, sp.start,
-                                  sp.dur, *d);
+                if (const obs::PerfDelta* d = obs::latestPerfDelta(name))
+                    fl.recordPerf(0, name, frameId, start, dur, *d);
+        };
+        span("FRAME", timing.admitMs, timing.commitMs - timing.admitMs, 0);
+        for (const Stage s : obs::kStages) {
+            const auto i = static_cast<std::size_t>(s);
+            const auto& st =
+                timing.stages[static_cast<std::size_t>(stageIds_[i])];
+            span(obs::stageName(s), st.startMs, st.durMs, kFlightTrack[i]);
         }
         fl.recordMetric(0, "e2e_ms", frameId, t0, e2e);
         if (job.fault.dropFrame)
@@ -598,15 +571,9 @@ Pipeline::commitJob(FrameJob& job,
     if (obs::metricsEnabled()) {
         auto& reg = obs::metrics();
         reg.counter("pipeline.frames").add();
-        reg.histogram("pipeline.det_ms").record(out.latencies.detMs);
-        reg.histogram("pipeline.tra_ms").record(out.latencies.traMs);
-        reg.histogram("pipeline.loc_ms").record(out.latencies.locMs);
-        reg.histogram("pipeline.fusion_ms")
-            .record(out.latencies.fusionMs);
-        reg.histogram("pipeline.motplan_ms")
-            .record(out.latencies.motPlanMs);
-        reg.histogram("pipeline.e2e_ms")
-            .record(out.latencies.endToEndMs());
+        for (const Stage s : obs::kStages)
+            reg.histogram(stageMetricName(s)).record(lat[s]);
+        reg.histogram("pipeline.e2e_ms").record(e2e);
         reg.histogram("pipeline.pipelined_ms").record(out.pipelinedMs);
         reg.counter("pipeline.mission_replans")
             .add(out.missionReplanned ? 1 : 0);
@@ -621,11 +588,6 @@ Pipeline::commitJob(FrameJob& job,
         reg.counter("pipeline.tra_coasted")
             .add(out.traCoasted ? 1 : 0);
     }
-
-    // Stage the governor plan for the frame `depth` ahead, computed
-    // with exactly the feedback available now (frames <= this one).
-    if (timing && governor_)
-        planQueue_.push_back(governor_->plan(frameId + depth_));
 }
 
 } // namespace ad::pipeline

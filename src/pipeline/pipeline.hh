@@ -8,22 +8,25 @@
  * (3); the mission planner re-routes only on deviation (4); and the
  * vehicle controller follows the plan (5).
  *
- * Per-stage latencies are recorded per frame; the end-to-end latency
- * composes as max(LOC, DET + TRA) + FUSION + MOTPLAN, reflecting the
- * parallel branches.
+ * Per-stage latencies are recorded per frame in one stage record
+ * (obs::FrameLatencySample); the end-to-end latency composes as
+ * max(LOC, DET + TRA) + FUSION + MOTPLAN, reflecting the parallel
+ * branches.
  *
- * Two execution modes share the same stage bodies: the serial path
- * (processFrame) runs the stages in topological order on the calling
- * thread, and the async path (`pipeline.async`, submitFrame) runs
- * them through the frame-graph executor (frame_graph.hh) so stages
- * of up to `pipeline.depth` consecutive frames overlap. Outputs are
- * bitwise-identical across modes at depth 1 and deterministic at
- * every depth, worker count, and schedule seed.
+ * Both execution modes run the same stage graph: the serial path
+ * (processFrame) runs it in topological order on the calling thread
+ * (FrameGraphExecutor::runInline), and the async path
+ * (`pipeline.async`, submitFrame) runs it through the frame-graph
+ * executor (frame_graph.hh) so stages of up to `pipeline.depth`
+ * consecutive frames overlap. Outputs are bitwise-identical across
+ * modes at depth 1 and deterministic at every depth, worker count,
+ * and schedule seed.
  */
 
 #ifndef AD_PIPELINE_PIPELINE_HH
 #define AD_PIPELINE_PIPELINE_HH
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -146,24 +149,6 @@ struct PipelineParams
     GovernorParams governor;
 };
 
-/** Wall-clock per-stage latencies of one frame (ms). */
-struct StageLatencies
-{
-    double detMs = 0;
-    double traMs = 0;
-    double locMs = 0;
-    double fusionMs = 0;
-    double motPlanMs = 0;
-
-    /** Parallel-branch composition (Figure 1). */
-    double
-    endToEndMs() const
-    {
-        const double perception = std::max(locMs, detMs + traMs);
-        return perception + fusionMs + motPlanMs;
-    }
-};
-
 /** Everything one frame produces. */
 struct FrameOutput
 {
@@ -173,7 +158,8 @@ struct FrameOutput
     fusion::FusedScene scene;
     planning::Trajectory trajectory;
     planning::ControlCommand command;
-    StageLatencies latencies;
+    /** Wall-clock stage latencies plus injected spikes (ms). */
+    obs::FrameLatencySample latencies;
     bool missionReplanned = false;
 
     /** Governor operating mode during this frame. */
@@ -195,8 +181,8 @@ struct FrameOutput
     /**
      * The frame's pipelined latency on the virtual timeline: commit
      * minus arrival, which includes queueing behind earlier in-flight
-     * frames. Equals latencies.endToEndMs() on the serial path and in
-     * an unloaded async pipeline.
+     * frames. Equals latencies.endToEndMs(), up to floating-point
+     * rounding, on the serial path and in an unloaded async pipeline.
      */
     double pipelinedMs = 0;
 };
@@ -267,11 +253,30 @@ class Pipeline
     const FrameGraphExecutor* executor() const { return exec_.get(); }
 
     /** Per-stage latency recorders over all processed frames. */
-    const LatencyRecorder& detLatency() const { return detRec_; }
-    const LatencyRecorder& traLatency() const { return traRec_; }
-    const LatencyRecorder& locLatency() const { return locRec_; }
-    const LatencyRecorder& fusionLatency() const { return fusionRec_; }
-    const LatencyRecorder& motPlanLatency() const { return motRec_; }
+    const LatencyRecorder& stageLatency(obs::Stage stage) const
+    {
+        return stageRec_[static_cast<std::size_t>(stage)];
+    }
+    const LatencyRecorder& detLatency() const
+    {
+        return stageLatency(obs::Stage::Det);
+    }
+    const LatencyRecorder& traLatency() const
+    {
+        return stageLatency(obs::Stage::Tra);
+    }
+    const LatencyRecorder& locLatency() const
+    {
+        return stageLatency(obs::Stage::Loc);
+    }
+    const LatencyRecorder& fusionLatency() const
+    {
+        return stageLatency(obs::Stage::Fusion);
+    }
+    const LatencyRecorder& motPlanLatency() const
+    {
+        return stageLatency(obs::Stage::MotPlan);
+    }
     const LatencyRecorder& endToEndLatency() const { return e2eRec_; }
 
     /**
@@ -347,27 +352,44 @@ class Pipeline
         std::vector<sensors::OdometryReading> odom; ///< buffered input.
     };
 
+    /** The job slot of (executor or serial) frame @p f. */
+    FrameJob& jobAt(std::int64_t f)
+    {
+        return jobs_[static_cast<std::size_t>(f % depth_)];
+    }
+
+    /**
+     * Reset the slot of frame @p f for the next frame id: inputs,
+     * this frame's fault draws and its governor plan.
+     */
+    FrameJob& startJob(std::int64_t f, double dt, double egoSpeed,
+                       const FramePlan& plan);
+
     /** Sensor corruption (pixel faults) ahead of DET/LOC. */
     void stageSense(FrameJob& job);
+    // The five measured stage bodies. Each returns its measured ms;
+    // the graph's stage wrapper adds the injected spike and writes
+    // the frame's stage record.
     /** (1a) Object detection, with stale-detection fallback. */
-    void stageDet(FrameJob& job);
+    double stageDet(FrameJob& job);
     /** (1b) Localization, with dead-reckoning fallback. */
-    void stageLoc(FrameJob& job);
+    double stageLoc(FrameJob& job);
     /** (1c) Object tracking (update, coast, or blind-coast). */
-    void stageTra(FrameJob& job);
+    double stageTra(FrameJob& job);
     /** (2) Fusion onto the world coordinate space. */
-    void stageFusion(FrameJob& job);
+    double stageFusion(FrameJob& job);
     /** (3)(4)(5) Mission check, motion planning, vehicle control. */
-    void stagePlan(FrameJob& job);
+    double stagePlan(FrameJob& job);
 
     /**
      * Frame-ordered epilogue: safe-stop escalation, cycle and latency
      * aggregation, deadline/governor feedback, flight recorder and
-     * metrics. @p timing is the executor's virtual-timeline record
-     * (null on the serial path, which re-derives the serial layout).
+     * metrics, all fanned out from the frame's stage record. @p timing
+     * places the frame's stages on the virtual timeline (executor or
+     * runInline; the same rule either way).
      */
     void commitJob(FrameJob& job,
-                   const FrameGraphExecutor::FrameTiming* timing);
+                   const FrameGraphExecutor::FrameTiming& timing);
 
     /** Declare the stage DAG over this pipeline's stage methods. */
     FrameGraph buildGraph();
@@ -395,11 +417,7 @@ class Pipeline
     int detStaleFrames_ = 0;
     int locStaleFrames_ = 0;
 
-    LatencyRecorder detRec_;
-    LatencyRecorder traRec_;
-    LatencyRecorder locRec_;
-    LatencyRecorder fusionRec_;
-    LatencyRecorder motRec_;
+    std::array<LatencyRecorder, obs::kStageCount> stageRec_;
     LatencyRecorder e2eRec_;
     LatencyRecorder pipelinedRec_;
     CycleBreakdown cycles_;
@@ -409,9 +427,14 @@ class Pipeline
     /** Governor transitions already copied to the flight recorder. */
     std::size_t govTransitionsSeen_ = 0;
 
-    // --- Async frame-graph state (unused on the serial path). ---
-    int depth_ = 1;               ///< clamped pipeline.depth.
+    /** The stage DAG; the serial path runs it inline. */
+    FrameGraph graph_;
+    /** Graph stage id of each measured stage. */
+    std::array<FrameGraph::StageId, obs::kStageCount> stageIds_{};
+    int depth_ = 1;               ///< clamped pipeline.depth (1 serial).
     std::vector<FrameJob> jobs_;  ///< ring, indexed frame % depth.
+
+    // --- Async frame-graph state (unused on the serial path). ---
     /**
      * Staged governor plans: commit of frame j computes the plan for
      * frame j + depth (after observing j), and frame admission pops
@@ -426,8 +449,6 @@ class Pipeline
     double pendingSpeed_ = 0;
     std::mutex readyMutex_;          ///< guards ready_ only.
     std::deque<FrameOutput> ready_;  ///< committed, not yet collected.
-    int senseStage_ = -1, detStage_ = -1, locStage_ = -1;
-    int traStage_ = -1, fusionStage_ = -1, planStage_ = -1;
     /**
      * The executor; declared last so it is destroyed (and drained)
      * before any state its in-flight stage tasks touch.

@@ -4,8 +4,9 @@
  * executor: graph validation (duplicates, dangling edges, cycles),
  * the exact virtual-timeline recurrence, admission backpressure,
  * frame-ordered admit/commit callbacks, schedule independence across
- * worker counts and dispatch seeds, stage-exception containment, and
- * cross-thread trace-span frame tagging (ScopedTraceFrame).
+ * worker counts and dispatch seeds, stage-exception containment,
+ * cross-thread trace-span frame tagging (ScopedTraceFrame), and the
+ * inline (serial) run's placement.
  */
 
 #include <gtest/gtest.h>
@@ -166,6 +167,71 @@ TEST(FrameGraphExecutorTest, DiamondJoinWaitsForSlowBranch)
     EXPECT_DOUBLE_EQ(commits[0], 12.0);
     EXPECT_DOUBLE_EQ(commits[1], 22.0);
     EXPECT_DOUBLE_EQ(commits[2], 32.0);
+}
+
+/**
+ * runInline (the pipeline's serial path) places a frame exactly as
+ * the executor places an unloaded frame, running the stage bodies in
+ * topological order on the calling thread.
+ */
+TEST(FrameGraphExecutorTest, RunInlineMatchesUnloadedExecutorFrame)
+{
+    std::vector<std::string> ran;
+    FrameGraph g;
+    const auto stage = [&](const char* name, double ms) {
+        return [&ran, name, ms](std::int64_t f) {
+            EXPECT_EQ(f, 7);
+            ran.push_back(name);
+            return ms;
+        };
+    };
+    g.addStage("R", {}, stage("R", 0.0));
+    g.addStage("X", {"R"}, stage("X", 10.0));
+    g.addStage("Y", {"R"}, stage("Y", 4.0));
+    g.addStage("Z", {"X", "Y"}, stage("Z", 2.0));
+    ASSERT_FALSE(g.validate().has_value());
+
+    const auto inl = FrameGraphExecutor::runInline(g, 7, 100.0);
+    EXPECT_EQ(ran, (std::vector<std::string>{"R", "X", "Y", "Z"}));
+    EXPECT_EQ(inl.frame, 7);
+    EXPECT_DOUBLE_EQ(inl.arrivalMs, 100.0);
+    EXPECT_DOUBLE_EQ(inl.admitMs, 100.0);
+    ASSERT_EQ(inl.stages.size(), 4u);
+    EXPECT_DOUBLE_EQ(inl.stages[1].startMs, 100.0); // X
+    EXPECT_DOUBLE_EQ(inl.stages[2].startMs, 100.0); // Y
+    EXPECT_DOUBLE_EQ(inl.stages[3].startMs, 110.0); // Z waits for X
+    EXPECT_DOUBLE_EQ(inl.stages[3].durMs, 2.0);
+    EXPECT_DOUBLE_EQ(inl.commitMs, 112.0);
+
+    // The executor's first frame (nothing ahead of it) at depth 1.
+    ThreadPool pool(2);
+    FrameGraphExecutor::Params ep;
+    ep.depth = 1;
+    ep.pool = &pool;
+    std::vector<FrameGraphExecutor::FrameTiming> timings;
+    FrameGraph eg;
+    const auto nop = [](double ms) {
+        return [ms](std::int64_t) { return ms; };
+    };
+    eg.addStage("R", {}, nop(0.0));
+    eg.addStage("X", {"R"}, nop(10.0));
+    eg.addStage("Y", {"R"}, nop(4.0));
+    eg.addStage("Z", {"X", "Y"}, nop(2.0));
+    FrameGraphExecutor exec(
+        eg, ep, nullptr,
+        [&](std::int64_t, const FrameGraphExecutor::FrameTiming& t) {
+            timings.push_back(t);
+        });
+    exec.submit(100.0);
+    exec.drain();
+    ASSERT_EQ(timings.size(), 1u);
+    EXPECT_EQ(timings[0].admitMs, inl.admitMs);
+    EXPECT_EQ(timings[0].commitMs, inl.commitMs);
+    for (std::size_t s = 0; s < inl.stages.size(); ++s) {
+        EXPECT_EQ(timings[0].stages[s].startMs, inl.stages[s].startMs);
+        EXPECT_EQ(timings[0].stages[s].durMs, inl.stages[s].durMs);
+        EXPECT_EQ(timings[0].stages[s].endMs, inl.stages[s].endMs);
+    }
 }
 
 TEST(FrameGraphExecutorTest, AdmitAndCommitRunInFrameOrder)

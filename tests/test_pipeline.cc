@@ -16,6 +16,7 @@
 
 #include "obs/flight.hh"
 #include "obs/json.hh"
+#include "obs/metrics.hh"
 #include "pipeline/constraints.hh"
 #include "pipeline/pipeline.hh"
 #include "sensors/scenario.hh"
@@ -129,7 +130,7 @@ TEST_F(PipelineIntegrationTest, DrivesScenarioEndToEnd)
 
 TEST_F(PipelineIntegrationTest, LatencyComposesParallelBranches)
 {
-    StageLatencies lat;
+    obs::FrameLatencySample lat;
     lat.detMs = 10;
     lat.traMs = 5;
     lat.locMs = 8;
@@ -408,6 +409,115 @@ TEST_F(PipelineIntegrationTest, AsyncFlightEventsConserved)
     EXPECT_FALSE(serialCounts.empty());
     EXPECT_EQ(serialCounts, asyncCounts);
     EXPECT_GE(serialCounts.count("span:FRAME"), 1u);
+}
+
+/** Samples of a recorder in ascending order (order-free comparison). */
+std::vector<double>
+sortedSamples(const LatencyRecorder& rec)
+{
+    std::vector<double> v = rec.samples();
+    std::sort(v.begin(), v.end());
+    return v;
+}
+
+TEST_F(PipelineIntegrationTest, StageRecordSinksAgree)
+{
+    // Every sink is fed from the frame's one stage record, so under
+    // faults and in both execution modes the flight spans, per-stage
+    // recorders, metric histograms and watchdog must agree with
+    // FrameOutput::latencies exactly, not just approximately.
+    PipelineParams params = testParams();
+    params.laneCenterY = scenario_->world.road().laneCenter(1);
+    params.faults = FaultInjectorParams::scaledMix(0.5, 13);
+    // Every spiked frame misses the budget (as in
+    // AsyncFlightEventsConserved), so the watchdog clause below
+    // compares nonzero counts.
+    params.faults.spikeMs = 200.0;
+    params.asyncDepth = 2;
+    const char* const kHistogram[obs::kStageCount] = {
+        "pipeline.det_ms", "pipeline.tra_ms", "pipeline.loc_ms",
+        "pipeline.fusion_ms", "pipeline.motplan_ms"};
+    const int frames = 10;
+
+    obs::FlightParams fp;
+    fp.capacity = 4096;
+    fp.dumpOnMiss = false;
+    fp.dumpOnSafeStop = false;
+    auto& fl = obs::flight();
+    auto& reg = obs::metrics();
+    for (const bool async : {false, true}) {
+        SCOPED_TRACE(async ? "async depth 2" : "serial");
+        params.async = async;
+        fl.configure(fp);
+        fl.setEnabled(true);
+        reg.reset();
+        reg.setEnabled(true);
+
+        Pipeline pipe(map_, camera_, nullptr, params);
+        sensors::World world = scenario_->world;
+        Pose2 ego = scenario_->ego.pose;
+        pipe.reset(ego, {10, 0}, {140, params.laneCenterY});
+        std::vector<FrameOutput> outs;
+        for (int i = 0; i < frames; ++i) {
+            world.step(0.1);
+            ego.pos.x += 1.0;
+            const sensors::Frame frame = camera_->render(world, ego);
+            for (auto& out : pipe.submitFrame(frame.image, 0.1, 10.0))
+                outs.push_back(std::move(out));
+        }
+        for (auto& out : pipe.drainAsync())
+            outs.push_back(std::move(out));
+
+        std::string error;
+        const auto doc =
+            obs::json::parse(fl.dumpJson("test", -1, -1), &error);
+        fl.setEnabled(false);
+        reg.setEnabled(false);
+        ASSERT_TRUE(doc) << error;
+        std::map<std::pair<std::int64_t, std::string>, double> spanMs;
+        std::uint64_t missNotes = 0;
+        for (const auto& stream :
+             doc->find("flight")->find("streams")->asArray())
+            for (const auto& ev : stream.find("events")->asArray()) {
+                const std::string& kind = ev.find("kind")->asString();
+                const std::string& name = ev.find("name")->asString();
+                const auto frame = static_cast<std::int64_t>(
+                    ev.find("frame")->asNumber());
+                if (kind == "span")
+                    spanMs[{frame, name}] = ev.find("dur_ms")->asNumber();
+                else if (kind == "mark" && name == "deadline.miss")
+                    ++missNotes;
+            }
+
+        ASSERT_EQ(outs.size(), static_cast<std::size_t>(frames));
+        std::uint64_t overBudget = 0;
+        for (const FrameOutput& out : outs) {
+            for (const obs::Stage s : obs::kStages) {
+                const auto it =
+                    spanMs.find({out.frameId, obs::stageName(s)});
+                ASSERT_NE(it, spanMs.end())
+                    << "frame " << out.frameId << " " << obs::stageName(s);
+                EXPECT_EQ(it->second, out.latencies[s])
+                    << "frame " << out.frameId << " " << obs::stageName(s);
+            }
+            overBudget += out.latencies.endToEndMs() >
+                          params.deadline.budgetMs;
+        }
+        for (const obs::Stage s : obs::kStages) {
+            const auto i = static_cast<std::size_t>(s);
+            const LatencyRecorder& rec = pipe.stageLatency(s);
+            const LatencyRecorder hist =
+                reg.histogram(kHistogram[i]).snapshot();
+            EXPECT_EQ(rec.count(), static_cast<std::size_t>(frames));
+            // Equal sorted samples: the same count and the same sum.
+            EXPECT_EQ(sortedSamples(hist), sortedSamples(rec))
+                << kHistogram[i];
+        }
+        EXPECT_GT(missNotes, 0u);
+        EXPECT_EQ(pipe.deadlineMonitor().violations(), missNotes);
+        EXPECT_EQ(missNotes, overBudget);
+    }
+    reg.reset();
 }
 
 TEST(SystemConfig, NameIsReadable)
