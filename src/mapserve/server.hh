@@ -29,8 +29,9 @@
  * which is how clients holding the old copy learn to refresh.
  *
  * Like serve::MultiStreamServer the class is clocked externally:
- * the sim owns the event loop and calls submit / dispatch / merge
- * at virtual times; the server never reads a real clock.
+ * MapServeSim drives it from the shared event loop
+ * (common/event_loop.hh) and calls submit / dispatch / merge at
+ * virtual times; the server never reads a real clock.
  */
 
 #ifndef AD_MAPSERVE_SERVER_HH

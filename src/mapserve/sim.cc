@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -33,13 +34,9 @@ uniformOf(std::uint64_t h)
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-void
-appendLine(std::string& out, const char* fmt, ...)
 #if defined(__GNUC__)
-    __attribute__((format(printf, 2, 3)))
+__attribute__((format(printf, 2, 3)))
 #endif
-    ;
-
 void
 appendLine(std::string& out, const char* fmt, ...)
 {
@@ -244,7 +241,6 @@ MapServeSim::MapServeSim(const MapServeSimParams& params,
     if (params_.decodeThreads > 0)
         decodePool_ = std::make_unique<ThreadPool>(
             static_cast<std::size_t>(params_.decodeThreads));
-    pendingDispatchMs_ = kInf;
     report_.vehicles = vehicles;
 }
 
@@ -259,52 +255,46 @@ MapServeSim::run()
 {
     const auto& tape = load_.schedule();
     for (const fleet::ArrivalEvent& a : tape)
-        events_.push(
-            Event{a.tMs, Event::Kind::Arrival, a.stream, a.seq});
+        events_.push(Event{a.tMs, EventKind::Arrival, a.stream, a.seq});
     if (!tape.empty()) {
         const double lastMs = tape.back().tMs;
         std::int64_t k = 1;
         for (double t = params_.server.mergePeriodMs;
              t <= lastMs + params_.server.mergePeriodMs;
              t += params_.server.mergePeriodMs)
-            events_.push(Event{t, Event::Kind::Merge, -1, k++});
+            events_.push(Event{t, EventKind::Merge, -1, k++});
     }
 
-    while (!events_.empty()) {
-        const Event ev = events_.top();
-        events_.pop();
-        lastEventMs_ = ev.timeMs;
+    events_.runUntil(kInf, [this](const Event& ev) {
         switch (ev.kind) {
-        case Event::Kind::Merge:
+        case EventKind::Merge:
             onMerge(ev.timeMs);
             break;
-        case Event::Kind::BatchDone:
+        case EventKind::BatchDone:
             onBatchDone(static_cast<std::size_t>(ev.seq), ev.timeMs);
             scheduleDispatch(ev.timeMs);
             break;
-        case Event::Kind::Arrival:
-            onArrival(ev.vehicle, ev.seq, ev.timeMs);
+        case EventKind::Arrival:
+            onArrival(ev.id, ev.seq, ev.timeMs);
             scheduleDispatch(ev.timeMs);
             break;
-        case Event::Kind::Dispatch: {
-            pendingDispatchMs_ = kInf;
+        case EventKind::Dispatch: {
             auto batch = server_.dispatch(ev.timeMs);
             if (batch) {
                 const auto index = inFlightBatches_.size();
                 const double doneMs = batch->doneMs;
                 inFlightBatches_.push_back(std::move(*batch));
-                events_.push(
-                    Event{doneMs, Event::Kind::BatchDone, -1,
-                          static_cast<std::int64_t>(index)});
+                events_.push(Event{doneMs, EventKind::BatchDone, -1,
+                                   static_cast<std::int64_t>(index)});
             }
             scheduleDispatch(ev.timeMs);
             break;
         }
         }
-    }
+    });
     flushEpochError();
 
-    report_.durationMs = lastEventMs_;
+    report_.durationMs = events_.lastMs();
     report_.fetchLatency = fetchRec_.summary();
     report_.demandLatency = demandRec_.summary();
     report_.stallMs = stallRec_.summary();
@@ -332,20 +322,16 @@ MapServeSim::run()
                                : report_.epochErrBits.back();
     report_.versionLog = server_.versionLog();
 
-    local_.counter("mapserve.frames")
-        .add(static_cast<std::uint64_t>(report_.frames));
-    local_.counter("mapserve.frames.stalled")
-        .add(static_cast<std::uint64_t>(report_.framesStalled));
-    local_.counter("mapserve.prefetch.issued")
-        .add(static_cast<std::uint64_t>(report_.prefetchIssued));
-    local_.counter("mapserve.prefetch.shed")
-        .add(static_cast<std::uint64_t>(report_.prefetchShed));
-    local_.counter("mapserve.updates.pushed")
-        .add(static_cast<std::uint64_t>(report_.updatesPushed));
-    local_.counter("mapserve.server.served")
-        .add(static_cast<std::uint64_t>(report_.server.served));
-    local_.counter("mapserve.server.cache-hits")
-        .add(static_cast<std::uint64_t>(report_.server.cacheHits));
+    const std::pair<const char*, std::int64_t> counts[] = {
+        {"mapserve.frames", report_.frames},
+        {"mapserve.frames.stalled", report_.framesStalled},
+        {"mapserve.prefetch.issued", report_.prefetchIssued},
+        {"mapserve.prefetch.shed", report_.prefetchShed},
+        {"mapserve.updates.pushed", report_.updatesPushed},
+        {"mapserve.server.served", report_.server.served},
+        {"mapserve.server.cache-hits", report_.server.cacheHits}};
+    for (const auto& [name, n] : counts)
+        local_.counter(name).add(static_cast<std::uint64_t>(n));
     local_.histogram("mapserve.fetch-ms").mergeFrom(fetchRec_);
     if (obs::MetricRegistry::instance().enabled())
         obs::MetricRegistry::instance().merge(local_);
@@ -355,11 +341,7 @@ MapServeSim::run()
 void
 MapServeSim::scheduleDispatch(double now)
 {
-    const double at = server_.nextDispatchMs(now);
-    if (!(at < pendingDispatchMs_))
-        return;
-    pendingDispatchMs_ = at;
-    events_.push(Event{at, Event::Kind::Dispatch, -1, 0});
+    events_.wakeAt(server_.nextDispatchMs(now), EventKind::Dispatch);
 }
 
 void
@@ -518,8 +500,7 @@ MapServeSim::onArrival(int v, std::int64_t seq, double now)
         return;
     }
 
-    if (params_.client.prefetch)
-        prefetchPath(v, tile, x, now);
+    prefetchPath(v, tile, x, now);
 }
 
 void

@@ -5,10 +5,11 @@
  * MapServeSim closes the loop the tentpole asks for: the fleet
  * loadgen's arrival tape drives per-vehicle localization frames,
  * each frame needs the prior-map tile under the vehicle's pose, and
- * the shared TileServer is the only place tiles come from. One
- * discrete-event loop orders everything -- frame arrivals, backend
- * batch completions, dispatch checks and merge epochs -- with a
- * total (time, kind, vehicle, seq) order, so a run is a pure
+ * the shared TileServer is the only place tiles come from. The
+ * shared event loop (common/event_loop.hh) orders everything --
+ * frame arrivals, backend batch completions, dispatch checks and
+ * merge epochs -- with a total (time, kind, vehicle, seq) order,
+ * so a run is a pure
  * function of its seeds: the triple-run determinism bar in
  * BENCH_map.json compares this sim's canonical summary and the
  * server's version-stamp log bit for bit.
@@ -44,10 +45,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "common/event_loop.hh"
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
 #include "fleet/loadgen.hh"
@@ -172,35 +173,16 @@ class MapServeSim
     }
 
   private:
-    /** One discrete event, ordered by (time, kind, vehicle, seq). */
-    struct Event
+    /** Event kinds; the numbering is the tie order at one instant. */
+    enum class EventKind
     {
-        enum class Kind
-        {
-            Merge = 0,      ///< delta-merge epoch boundary.
-            BatchDone = 1,  ///< backend batch delivery.
-            Arrival = 2,    ///< localization frame.
-            Dispatch = 3    ///< batch-formation check.
-        };
-
-        double timeMs = 0.0;
-        Kind kind = Kind::Arrival;
-        int vehicle = -1;
-        std::int64_t seq = -1; ///< frame seq / in-flight batch index.
-
-        bool
-        operator>(const Event& o) const
-        {
-            if (timeMs != o.timeMs)
-                return timeMs > o.timeMs;
-            if (kind != o.kind)
-                return static_cast<int>(kind) >
-                       static_cast<int>(o.kind);
-            if (vehicle != o.vehicle)
-                return vehicle > o.vehicle;
-            return seq > o.seq;
-        }
+        Merge = 0,      ///< delta-merge epoch boundary.
+        BatchDone = 1,  ///< backend batch delivery (seq: batch index).
+        Arrival = 2,    ///< localization frame (id: vehicle).
+        Dispatch = 3    ///< batch-formation check.
     };
+
+    using Event = SimEvent<EventKind>;
 
     void onArrival(int v, std::int64_t seq, double now);
     void onBatchDone(std::size_t index, double now);
@@ -222,11 +204,8 @@ class MapServeSim
     std::vector<MapClient> clients_;
     std::unique_ptr<ThreadPool> decodePool_;
 
-    std::priority_queue<Event, std::vector<Event>,
-                        std::greater<Event>>
-        events_;
+    EventLoop<EventKind> events_;
     std::vector<BatchResult> inFlightBatches_;
-    double pendingDispatchMs_ = 0.0; ///< +inf when none scheduled.
 
     // Per-vehicle motion and stall state.
     std::vector<double> x0_, y0_, speed_;
@@ -239,7 +218,6 @@ class MapServeSim
     LatencyRecorder fetchRec_, demandRec_, stallRec_;
     double epochErrSum_ = 0.0;
     std::int64_t epochErrCount_ = 0;
-    double lastEventMs_ = 0.0;
     obs::MetricRegistry local_;
 };
 

@@ -76,34 +76,17 @@ FrameGraph::validate() const
     if (!resolveEdges())
         return "unresolved input edge"; // unreachable after the checks
 
-    // Kahn's algorithm; anything left with a nonzero in-degree sits on
-    // a cycle.
-    std::vector<int> indeg(stages_.size(), 0);
-    for (std::size_t i = 0; i < stages_.size(); ++i)
-        indeg[i] = static_cast<int>(stages_[i].inputIds.size());
-    std::size_t processed = 0;
-    std::vector<char> emitted(stages_.size(), 0);
-    for (;;) {
-        int pick = -1;
-        for (std::size_t i = 0; i < stages_.size(); ++i)
-            if (!emitted[i] && indeg[i] == 0) {
-                pick = static_cast<int>(i);
-                break;
-            }
-        if (pick < 0)
-            break;
-        emitted[static_cast<std::size_t>(pick)] = 1;
-        ++processed;
-        for (std::size_t c = 0; c < stages_.size(); ++c)
-            for (StageId in : stages_[c].inputIds)
-                if (in == pick)
-                    --indeg[c];
-    }
-    if (processed < stages_.size())
+    // A stage Kahn's algorithm never emits sits on a cycle.
+    const std::vector<StageId> order = topologicalOrder();
+    if (order.size() < stages_.size()) {
+        std::vector<char> emitted(stages_.size(), 0);
+        for (const StageId id : order)
+            emitted[static_cast<std::size_t>(id)] = 1;
         for (std::size_t i = 0; i < stages_.size(); ++i)
             if (!emitted[i])
                 return "cycle involving stage '" + stages_[i].name +
                        "'";
+    }
     return std::nullopt;
 }
 

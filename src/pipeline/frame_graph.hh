@@ -89,8 +89,9 @@ class FrameGraph
 
     /**
      * Stage ids in a deterministic topological order (Kahn's
-     * algorithm, ties broken by lowest stage id). Requires
-     * validate() to have returned std::nullopt.
+     * algorithm, ties broken by lowest stage id). On a cyclic graph
+     * the order stops short: the stages left out sit on or behind a
+     * cycle (validate() names the first of them).
      */
     std::vector<StageId> topologicalOrder() const;
 

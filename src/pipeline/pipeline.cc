@@ -1,5 +1,6 @@
 #include "pipeline/pipeline.hh"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/logging.hh"
@@ -42,12 +43,15 @@ using obs::Stage;
 constexpr const char* kSenseStage = "SENSE";
 
 /**
- * Flight-recorder track of each stage (by Stage): the DET->TRA chain
- * on track 1 and LOC on track 2, since the parallel perception
- * branches partially overlap on the shared timeline; FUSION and
- * MOTPLAN share track 0 with the FRAME span.
+ * Flight-recorder track of each stage (by Stage) within its frame's
+ * lane: the DET->TRA chain on track 1 and LOC on track 2, since the
+ * parallel perception branches partially overlap on the shared
+ * timeline; FUSION and MOTPLAN share track 0 with the FRAME span.
+ * Lane l owns tracks 3l .. 3l+2; frames that overlap in time sit on
+ * different lanes (see commitJob).
  */
 constexpr int kFlightTrack[obs::kStageCount] = {1, 1, 2, 0, 0};
+constexpr int kFlightTracksPerLane = 3;
 
 /** The `pipeline.<stage>_ms` histogram name of each stage. */
 const std::string&
@@ -112,6 +116,7 @@ Pipeline::reset(const Pose2& pose, const Vec2& velocity,
         mission_->plan(pose.pos, destination);
     controller_.reset();
     time_ = 0;
+    flightLaneFreeMs_.clear();
     lastLocPose_ = pose;
     lastLocVelocity_ = velocity;
     lastDetections_.clear();
@@ -530,12 +535,25 @@ Pipeline::commitJob(FrameJob& job,
                 if (const obs::PerfDelta* d = obs::latestPerfDelta(name))
                     fl.recordPerf(0, name, frameId, start, dur, *d);
         };
-        span("FRAME", timing.admitMs, timing.commitMs - timing.admitMs, 0);
+        // Lowest lane free by this frame's admission: async frames
+        // and serial frames that outlast the camera period overlap,
+        // but no two frames on one lane do, so every track nests.
+        auto& lanes = flightLaneFreeMs_;
+        auto lane = std::find_if(lanes.begin(), lanes.end(), [&](double t) {
+            return t <= timing.admitMs;
+        });
+        if (lane == lanes.end())
+            lane = lanes.insert(lane, 0.0);
+        *lane = timing.commitMs;
+        const int base = kFlightTracksPerLane *
+                         static_cast<int>(lane - lanes.begin());
+        span("FRAME", timing.admitMs, timing.commitMs - timing.admitMs, base);
         for (const Stage s : obs::kStages) {
             const auto i = static_cast<std::size_t>(s);
             const auto& st =
                 timing.stages[static_cast<std::size_t>(stageIds_[i])];
-            span(obs::stageName(s), st.startMs, st.durMs, kFlightTrack[i]);
+            span(obs::stageName(s), st.startMs, st.durMs,
+                 base + kFlightTrack[i]);
         }
         fl.recordMetric(0, "e2e_ms", frameId, t0, e2e);
         if (job.fault.dropFrame)

@@ -426,6 +426,8 @@ class Pipeline
     std::int64_t frameIndex_ = 0;
     /** Governor transitions already copied to the flight recorder. */
     std::size_t govTransitionsSeen_ = 0;
+    /** Commit time of the last frame on each flight-recorder lane. */
+    std::vector<double> flightLaneFreeMs_;
 
     /** The stage DAG; the serial path runs it inline. */
     FrameGraph graph_;

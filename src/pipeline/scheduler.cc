@@ -21,7 +21,17 @@ simulateSchedule(const std::function<double()>& sampler, int frames,
 
     double engineFreeAt = 0.0; // time the engine finishes current work
     std::deque<double> queue;  // arrival times of waiting frames
-    double lastCompletion = 0.0;
+
+    // Serve the frame at the head of the queue: it starts once both
+    // it and the engine are ready.
+    const auto serveHead = [&] {
+        engineFreeAt = std::max(queue.front(), engineFreeAt) + sampler();
+        const double response = engineFreeAt - queue.front();
+        responses.record(response);
+        ++stats.framesProcessed;
+        stats.deadlineMisses += response > params.deadlineMs;
+        queue.pop_front();
+    };
 
     for (int i = 0; i < frames; ++i) {
         const double arrival = i * params.framePeriodMs;
@@ -29,18 +39,8 @@ simulateSchedule(const std::function<double()>& sampler, int frames,
 
         // Drain every queued frame the engine finished before this
         // arrival.
-        while (!queue.empty() && engineFreeAt <= arrival) {
-            const double start =
-                std::max(queue.front(), engineFreeAt);
-            const double completion = start + sampler();
-            engineFreeAt = completion;
-            lastCompletion = completion;
-            const double response = completion - queue.front();
-            responses.record(response);
-            ++stats.framesProcessed;
-            stats.deadlineMisses += response > params.deadlineMs;
-            queue.pop_front();
-        }
+        while (!queue.empty() && engineFreeAt <= arrival)
+            serveHead();
 
         // The queue holds only waiting frames (the in-service frame's
         // arrival was already popped); queueDepth bounds the waiters.
@@ -55,22 +55,13 @@ simulateSchedule(const std::function<double()>& sampler, int frames,
     }
 
     // Drain the tail.
-    while (!queue.empty()) {
-        const double start = std::max(queue.front(), engineFreeAt);
-        const double completion = start + sampler();
-        engineFreeAt = completion;
-        lastCompletion = completion;
-        const double response = completion - queue.front();
-        responses.record(response);
-        ++stats.framesProcessed;
-        stats.deadlineMisses += response > params.deadlineMs;
-        queue.pop_front();
-    }
+    while (!queue.empty())
+        serveHead();
 
     stats.responseTime = responses.summary();
-    if (lastCompletion > 0)
-        stats.achievedFps =
-            1000.0 * stats.framesProcessed / lastCompletion;
+    // The engine last finished at the final completion.
+    if (engineFreeAt > 0)
+        stats.achievedFps = 1000.0 * stats.framesProcessed / engineFreeAt;
 
     if (obs::metricsEnabled()) {
         auto& reg = obs::metrics();

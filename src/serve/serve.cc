@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <queue>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/time.hh"
@@ -131,10 +130,7 @@ ServeReport::toString() const
 
 MultiStreamServer::MultiStreamServer(const ServeParams& params,
                                      BatchEngine& engine)
-    : params_(params), engine_(engine), scheduler_(params.batch),
-      admission_(params.admission, registry_),
-      postRng_(params.seed ^ 0xa5a5a5a5a5a5a5a5ull),
-      pendingCheckMs_(std::numeric_limits<double>::infinity())
+    : MultiStreamServer(params, engine, ShardTag{}, 0)
 {
     if (params.streams < 1)
         fatal("MultiStreamServer: need at least one stream");
@@ -159,8 +155,7 @@ MultiStreamServer::MultiStreamServer(const ServeParams& params,
     : params_(params), engine_(engine), scheduler_(params.batch),
       admission_(params.admission, registry_),
       postRng_(params.seed ^ 0xa5a5a5a5a5a5a5a5ull),
-      shardId_(shardId),
-      pendingCheckMs_(std::numeric_limits<double>::infinity())
+      shardId_(shardId)
 {
     // Empty shard: the fleet imports streams and ensures flight
     // rings for the whole fleet-global stream space itself.
@@ -181,16 +176,6 @@ MultiStreamServer::engineBacklogMs(double nowMs) const
     return std::max(0.0, engineFreeAtMs_ - nowMs) +
            scheduler_.pendingCostScale() *
                admission_.expectedCostMs();
-}
-
-void
-MultiStreamServer::scheduleCheck(double at)
-{
-    if (at >= pendingCheckMs_)
-        return;
-    pendingCheckMs_ = at;
-    events_.push(
-        Event{at, Event::Kind::EngineCheck, -1, -1, 0.0, false});
 }
 
 StreamState&
@@ -259,8 +244,8 @@ MultiStreamServer::promote(const FrameTicket& ticket, double now)
         ++s.stats.coasted;
         s.inFlight = true;
         events_.push(Event{now + params_.coastMs,
-                           Event::Kind::Completion, ticket.stream,
-                           ticket.seq, ticket.arrivalMs, false});
+                           EventKind::Completion, ticket.stream,
+                           ticket.seq, {ticket.arrivalMs, false}});
         break;
     }
     case AdmitAction::Admit: {
@@ -294,6 +279,14 @@ MultiStreamServer::shedLate(const InferenceRequest& req, double now)
                                   now, req.costScale, req.degraded);
     if (observer_)
         observer_->onShed(s, now, "late");
+    release(s, now);
+}
+
+// The stream's frame left the engine path: promote waiters until one
+// is in flight again (a promoted frame may itself be shed).
+void
+MultiStreamServer::release(StreamState& s, double now)
+{
     s.inFlight = false;
     while (!s.inFlight) {
         const auto next = s.queue.pop();
@@ -309,14 +302,14 @@ MultiStreamServer::maybeDispatch(double now)
 {
     while (true) {
         if (engineFreeAtMs_ > now) {
-            scheduleCheck(engineFreeAtMs_);
+            events_.wakeAt(engineFreeAtMs_, EventKind::EngineCheck);
             return;
         }
         const auto at = scheduler_.nextDispatchMs(now);
         if (!at)
             return;
         if (*at > now) {
-            scheduleCheck(*at);
+            events_.wakeAt(*at, EventKind::EngineCheck);
             return;
         }
         auto batch = scheduler_.tryDispatch(now);
@@ -359,11 +352,11 @@ MultiStreamServer::maybeDispatch(double now)
         for (const auto& item : batch->items) {
             const double post = samplePost();
             events_.push(Event{now + cost + post,
-                               Event::Kind::Completion,
+                               EventKind::Completion,
                                item.ticket.stream, item.ticket.seq,
-                               item.ticket.arrivalMs, true});
+                               {item.ticket.arrivalMs, true}});
         }
-        scheduleCheck(engineFreeAtMs_);
+        events_.wakeAt(engineFreeAtMs_, EventKind::EngineCheck);
         return;
     }
 }
@@ -372,20 +365,16 @@ void
 MultiStreamServer::processEvent(const Event& ev)
 {
     const double now = ev.timeMs;
-    lastEventMs_ = std::max(lastEventMs_, now);
-
     switch (ev.kind) {
-    case Event::Kind::Arrival: {
-        StreamState& s = ownedStream(ev.stream, "arrival");
+    case EventKind::Arrival: {
+        StreamState& s = ownedStream(ev.id, "arrival");
         ++s.stats.arrived;
-        if (framesPerStream_ > 0 && ev.seq + 1 < framesPerStream_) {
-            const double next = now + s.params.framePeriodMs;
-            events_.push(Event{next, Event::Kind::Arrival, ev.stream,
-                               ev.seq + 1, next, false});
-        }
+        if (framesPerStream_ > 0 && ev.seq + 1 < framesPerStream_)
+            injectArrival(ev.id, ev.seq + 1,
+                          now + s.params.framePeriodMs);
         admission_.evaluatePressure(globalArrivals_++,
                                     engineBacklogMs(now));
-        const FrameTicket ticket{ev.stream, ev.seq, now};
+        const FrameTicket ticket{ev.id, ev.seq, now};
         if (s.inFlight) {
             if (const auto evicted = s.queue.push(ticket)) {
                 ++s.stats.shedStale;
@@ -397,17 +386,17 @@ MultiStreamServer::processEvent(const Event& ev)
         }
         break;
     }
-    case Event::Kind::Completion: {
-        StreamState& s = ownedStream(ev.stream, "completion");
-        const double latency = now - ev.arrivalMs;
-        admission_.onCompletion(
-            FrameTicket{ev.stream, ev.seq, ev.arrivalMs}, latency,
-            ev.engineServed);
+    case EventKind::Completion: {
+        StreamState& s = ownedStream(ev.id, "completion");
+        const FrameData& d = ev.payload;
+        const double latency = now - d.arrivalMs;
+        admission_.onCompletion(FrameTicket{ev.id, ev.seq, d.arrivalMs},
+                                latency, d.engineServed);
         auto& fl = obs::flight();
         if (fl.enabled())
-            fl.recordSpan(s.id, ev.engineServed ? "serve" : "coast",
-                          ev.seq, ev.arrivalMs, latency);
-        if (ev.engineServed) {
+            fl.recordSpan(s.id, d.engineServed ? "serve" : "coast",
+                          ev.seq, d.arrivalMs, latency);
+        if (d.engineServed) {
             ++s.stats.completed;
             admittedRec_.record(latency);
             if (latency > s.params.deadlineMs) {
@@ -421,20 +410,11 @@ MultiStreamServer::processEvent(const Event& ev)
             ++onTimeCoasted_;
         }
         if (observer_)
-            observer_->onCompletion(s, latency, ev.engineServed);
-        s.inFlight = false;
-        // Drain: a promoted frame may itself be shed, freeing the
-        // stream for the next waiter.
-        while (!s.inFlight) {
-            const auto next = s.queue.pop();
-            if (!next)
-                break;
-            promote(*next, now);
-        }
+            observer_->onCompletion(s, latency, d.engineServed);
+        release(s, now);
         break;
     }
-    case Event::Kind::EngineCheck:
-        pendingCheckMs_ = std::numeric_limits<double>::infinity();
+    case EventKind::EngineCheck:
         break;
     }
     maybeDispatch(now);
@@ -449,30 +429,7 @@ MultiStreamServer::injectArrival(int slot, std::int64_t seq,
         fatal("MultiStreamServer: injectArrival into vacant slot " +
               std::to_string(slot));
     events_.push(
-        Event{timeMs, Event::Kind::Arrival, slot, seq, timeMs, false});
-}
-
-void
-MultiStreamServer::stepUntil(double untilMs)
-{
-    while (!events_.empty() && events_.top().timeMs <= untilMs) {
-        const Event ev = events_.top();
-        events_.pop();
-        processEvent(ev);
-    }
-}
-
-void
-MultiStreamServer::drain()
-{
-    stepUntil(std::numeric_limits<double>::infinity());
-}
-
-double
-MultiStreamServer::nextEventMs() const
-{
-    return events_.empty() ? std::numeric_limits<double>::infinity()
-                           : events_.top().timeMs;
+        Event{timeMs, EventKind::Arrival, slot, seq, {timeMs, false}});
 }
 
 bool
@@ -536,11 +493,8 @@ ServeReport
 MultiStreamServer::run(std::int64_t framesPerStream)
 {
     framesPerStream_ = framesPerStream;
-    for (int i = 0; i < params_.streams; ++i) {
-        const StreamState& s = registry_.stream(i);
-        events_.push(Event{s.params.phaseMs, Event::Kind::Arrival, i,
-                           0, s.params.phaseMs, false});
-    }
+    for (int i = 0; i < params_.streams; ++i)
+        injectArrival(i, 0, registry_.stream(i).params.phaseMs);
     drain();
     return buildReport();
 }
@@ -570,11 +524,12 @@ MultiStreamServer::buildReport()
             report.framesInMode[m] += inMode[m];
     }
     report.admittedLatency = admittedRec_.summary();
-    report.durationMs = lastEventMs_;
-    if (lastEventMs_ > 0) {
-        report.goodputFps = 1000.0 * onTimeServed_ / lastEventMs_;
+    const double lastMs = events_.lastMs();
+    report.durationMs = lastMs;
+    if (lastMs > 0) {
+        report.goodputFps = 1000.0 * onTimeServed_ / lastMs;
         report.totalGoodputFps =
-            1000.0 * (onTimeServed_ + onTimeCoasted_) / lastEventMs_;
+            1000.0 * (onTimeServed_ + onTimeCoasted_) / lastMs;
     }
     if (report.framesArrived > 0)
         report.shedRate = static_cast<double>(report.framesShed) /
@@ -602,55 +557,32 @@ MultiStreamServer::publishMetrics()
         if (!sp)
             continue;
         const StreamState& s = *sp;
+        const StreamStats& st = s.stats;
         const std::string id = std::to_string(s.id);
-        local_
-            .counter(obs::labeled(prefix + ".frames_arrived",
-                                  "stream", id))
-            .add(static_cast<std::uint64_t>(s.stats.arrived));
-        local_
-            .counter(obs::labeled(prefix + ".frames_admitted",
-                                  "stream", id))
-            .add(static_cast<std::uint64_t>(s.stats.admitted));
-        local_
-            .counter(
-                obs::labeled(prefix + ".frames_shed", "stream", id))
-            .add(static_cast<std::uint64_t>(s.stats.shedAdmission +
-                                            s.stats.shedStale +
-                                            s.stats.shedLate));
-        local_
-            .counter(obs::labeled(prefix + ".deadline_misses",
-                                  "stream", id))
-            .add(static_cast<std::uint64_t>(s.stats.missedDeadline));
-        local_
-            .histogram(
-                obs::labeled(prefix + ".latency_ms", "stream", id))
-            .mergeFrom(s.servedLatency);
-        local_
-            .gauge(obs::labeled(prefix + ".slack_ms", "stream", id))
-            .set(s.slackMs());
+        const auto name = [&](const char* metric) {
+            return obs::labeled(prefix + metric, "stream", id);
+        };
+        const std::pair<const char*, std::int64_t> counts[] = {
+            {".frames_arrived", st.arrived},
+            {".frames_admitted", st.admitted},
+            {".frames_shed",
+             st.shedAdmission + st.shedStale + st.shedLate},
+            {".deadline_misses", st.missedDeadline}};
+        for (const auto& [metric, n] : counts)
+            local_.counter(name(metric))
+                .add(static_cast<std::uint64_t>(n));
+        local_.histogram(name(".latency_ms")).mergeFrom(s.servedLatency);
         const SloSnapshot& slo = s.slo.snapshot();
-        local_
-            .gauge(obs::labeled(prefix + ".slo.p50_ms", "stream", id))
-            .set(slo.p50Ms);
-        local_
-            .gauge(obs::labeled(prefix + ".slo.p99_ms", "stream", id))
-            .set(slo.p99Ms);
-        local_
-            .gauge(
-                obs::labeled(prefix + ".slo.p999_ms", "stream", id))
-            .set(slo.p999Ms);
-        local_
-            .gauge(
-                obs::labeled(prefix + ".slo.burn_rate", "stream", id))
-            .set(slo.burnRate);
-        local_
-            .gauge(obs::labeled(prefix + ".slo.goodput_ratio",
-                                "stream", id))
-            .set(slo.goodputRatio);
-        local_
-            .gauge(
-                obs::labeled(prefix + ".slo.miss_rate", "stream", id))
-            .set(slo.missRate);
+        const std::pair<const char*, double> gauges[] = {
+            {".slack_ms", s.slackMs()},
+            {".slo.p50_ms", slo.p50Ms},
+            {".slo.p99_ms", slo.p99Ms},
+            {".slo.p999_ms", slo.p999Ms},
+            {".slo.burn_rate", slo.burnRate},
+            {".slo.goodput_ratio", slo.goodputRatio},
+            {".slo.miss_rate", slo.missRate}};
+        for (const auto& [metric, v] : gauges)
+            local_.gauge(name(metric)).set(v);
     }
     if (obs::metricsEnabled())
         obs::metrics().merge(local_);

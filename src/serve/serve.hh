@@ -10,7 +10,8 @@
  * requests of different streams into cross-stream NN batches.
  *
  * The server is a discrete-event loop over an explicit virtual
- * clock. What makes the clock tick is the engine: a pluggable
+ * clock (the shared common/event_loop.hh queue). What makes the
+ * clock tick is the engine: a pluggable
  * BatchEngine reports how long each batch took. Two engines ship:
  *
  *  - ModeledBatchEngine: seeded cost model (fixed + marginal per
@@ -33,11 +34,12 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "common/event_loop.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "obs/metrics.hh"
@@ -272,13 +274,18 @@ class MultiStreamServer
     void injectArrival(int slot, std::int64_t seq, double timeMs);
 
     /** Process every pending event with time <= untilMs. */
-    void stepUntil(double untilMs);
+    void
+    stepUntil(double untilMs)
+    {
+        events_.runUntil(untilMs,
+                         [this](const Event& ev) { processEvent(ev); });
+    }
 
     /** Process every pending event (run to quiescence). */
-    void drain();
+    void drain() { stepUntil(std::numeric_limits<double>::infinity()); }
 
     /** Time of the next pending event (+inf when idle). */
-    double nextEventMs() const;
+    double nextEventMs() const { return events_.nextMs(); }
 
     /** Final accounting over resident streams; call once, at end. */
     ServeReport buildReport();
@@ -287,7 +294,7 @@ class MultiStreamServer
     double engineBacklogMs(double nowMs) const;
 
     /** Latest event time processed so far. */
-    double lastEventMs() const { return lastEventMs_; }
+    double lastEventMs() const { return events_.lastMs(); }
 
     /** Register the supervising observer (nullptr to clear). */
     void setObserver(ServeObserver* observer) { observer_ = observer; }
@@ -350,43 +357,33 @@ class MultiStreamServer
     const obs::MetricRegistry& localMetrics() const { return local_; }
 
   private:
-    /** One discrete event (ordered by time, kind, stream, seq). */
-    struct Event
+    /**
+     * Event kinds. The numbering is the tie order at one instant:
+     * a completion frees its stream before a same-time arrival looks
+     * at it, and the engine is checked once everything else landed.
+     */
+    enum class EventKind
     {
-        enum class Kind
-        {
-            Completion = 0,
-            Arrival = 1,
-            EngineCheck = 2
-        };
+        Completion = 0,
+        Arrival = 1,
+        EngineCheck = 2
+    };
 
-        double timeMs = 0.0;
-        Kind kind = Kind::Arrival;
-        int stream = -1;
-        std::int64_t seq = -1;
+    /** What an event carries beyond its (time, kind, stream, seq). */
+    struct FrameData
+    {
         double arrivalMs = 0.0;
         bool engineServed = false; ///< Completion: needed the engine.
-
-        bool
-        operator>(const Event& o) const
-        {
-            if (timeMs != o.timeMs)
-                return timeMs > o.timeMs;
-            if (kind != o.kind)
-                return static_cast<int>(kind) >
-                       static_cast<int>(o.kind);
-            if (stream != o.stream)
-                return stream > o.stream;
-            return seq > o.seq;
-        }
     };
+
+    using Event = SimEvent<EventKind, FrameData>;
 
     void processEvent(const Event& ev);
     double samplePost();
-    void scheduleCheck(double at);
     void emitTransitions(double now);
     void promote(const FrameTicket& ticket, double now);
     void shedLate(const InferenceRequest& req, double now);
+    void release(StreamState& s, double now);
     void maybeDispatch(double now);
     /** Resident stream at `slot` with a current ownership token. */
     StreamState& ownedStream(int slot, const char* what);
@@ -402,19 +399,15 @@ class MultiStreamServer
     ServeObserver* observer_ = nullptr;
     int shardId_ = 0;
 
-    std::priority_queue<Event, std::vector<Event>,
-                        std::greater<Event>>
-        events_;
+    EventLoop<EventKind, FrameData> events_;
     /** Self-schedule arrivals up to this many frames (run() mode);
         -1 in fleet mode, where arrivals are injected. */
     std::int64_t framesPerStream_ = -1;
     double engineFreeAtMs_ = 0.0;
-    double pendingCheckMs_ = 0.0; ///< set to +inf in the ctor.
     std::int64_t globalArrivals_ = 0;
     LatencyRecorder admittedRec_;
     std::int64_t onTimeServed_ = 0;
     std::int64_t onTimeCoasted_ = 0;
-    double lastEventMs_ = 0.0;
     std::vector<OwnershipToken> tokens_;  ///< by slot.
     std::vector<std::size_t> txSeen_;     ///< transitions emitted, by slot.
 };

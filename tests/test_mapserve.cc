@@ -595,6 +595,25 @@ TEST(MapServeSim, TripleRunBitwiseDeterminism)
     EXPECT_FALSE(logs[0].empty());
 }
 
+TEST(MapServeSim, EventOrderMatchesGoldenDigest)
+{
+    // Pins the event order across code changes, not just within one
+    // build: the digest covers the canonical summary (virtual-clock
+    // latencies and counters only) and the merge log, so it holds in
+    // every build flavour and ISA tier.
+    const fleet::ScenarioLoadGen load(tape(16, 6000.0));
+    MapServeSimParams sp;
+    sp.driftPerMin = 2.0;
+    const MapServeReport r = MapServeSim(sp, load).run();
+    const std::string canonical = r.summaryString() + r.versionLog;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : canonical) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(h, 0x6a145ebfee868a5aull);
+}
+
 // ------------------------------------------------------------ config
 
 TEST(MapServeConfig, RegistriesAcceptTheirKeysAndFlagTypos)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -358,6 +359,71 @@ TEST(MultiStreamServer, SameSeedIsBitReproducible)
     EXPECT_DOUBLE_EQ(a.goodputFps, b.goodputFps);
     EXPECT_DOUBLE_EQ(a.durationMs, b.durationMs);
     EXPECT_EQ(a.framesInMode, b.framesInMode);
+}
+
+/** FNV-1a over a canonical rendering of every report field. */
+std::uint64_t
+reportDigest(const ServeReport& r)
+{
+    std::string s;
+    char buf[160];
+    const auto put = [&](const char* name, double v) {
+        std::snprintf(buf, sizeof(buf), "%s=%.17g\n", name, v);
+        s += buf;
+    };
+    put("arrived", static_cast<double>(r.framesArrived));
+    put("admitted", static_cast<double>(r.framesAdmitted));
+    put("degraded", static_cast<double>(r.framesDegraded));
+    put("coasted", static_cast<double>(r.framesCoasted));
+    put("shed", static_cast<double>(r.framesShed));
+    put("misses", static_cast<double>(r.deadlineMisses));
+    const LatencySummary& l = r.admittedLatency;
+    put("lat.count", static_cast<double>(l.count));
+    for (const double v :
+         {l.mean, l.p50, l.p95, l.p99, l.p9999, l.worst, l.best})
+        put("lat", v);
+    put("duration", r.durationMs);
+    put("goodput", r.goodputFps);
+    put("totalGoodput", r.totalGoodputFps);
+    put("shedRate", r.shedRate);
+    put("batches", static_cast<double>(r.batches));
+    put("meanBatch", r.meanBatchSize);
+    put("meanWait", r.meanBatchWaitMs);
+    put("escalations", static_cast<double>(r.pressureEscalations));
+    for (const std::uint64_t n : r.framesInMode)
+        put("mode", static_cast<double>(n));
+    for (const SloSnapshot& slo : r.streamSlo)
+        for (const double v :
+             {static_cast<double>(slo.window), slo.p50Ms, slo.p99Ms,
+              slo.p999Ms, slo.missRate, slo.burnRate, slo.goodputRatio,
+              static_cast<double>(slo.misses),
+              static_cast<double>(slo.total)})
+            put("slo", v);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(MultiStreamServer, EventOrderMatchesGoldenDigest)
+{
+    // Pins the event order across code changes, not just within one
+    // build: lockstep arrivals (stagger off) put many events on the
+    // same virtual instant, so the (time, kind, stream, seq) tie
+    // order decides the outcome, and a low pressure threshold makes
+    // the run shed, degrade and coast. Every digested quantity comes
+    // from the virtual clock and the seeded engine, so the constant
+    // holds in every build flavour and ISA tier.
+    ServeParams sp = modeledParams(8, true);
+    sp.stagger = false;
+    sp.admission.degradePressure = 0.4;
+    const ServeReport r = runModeled(sp, 300);
+    ASSERT_GT(r.framesShed, 0);
+    ASSERT_GT(r.framesDegraded, 0);
+    ASSERT_GT(r.framesCoasted, 0);
+    EXPECT_EQ(reportDigest(r), 0xdc5f236f85eefc28ull);
 }
 
 TEST(MultiStreamServer, OverloadAcceptanceProperty)
