@@ -28,12 +28,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_report.hh"
 #include "common/config.hh"
 #include "common/isa.hh"
 #include "common/random.hh"
@@ -45,6 +43,7 @@
 namespace {
 
 using namespace ad;
+using bench::quantile;
 
 constexpr double kMinSpeedup = 3.0;
 constexpr int kFrames = 24;        ///< rendered HHD frames per pass.
@@ -99,31 +98,6 @@ struct Digest
             add(w);
     }
 };
-
-/** The q-quantile (0..1) of xs by linear interpolation. */
-double
-quantile(std::vector<double> xs, double q)
-{
-    std::sort(xs.begin(), xs.end());
-    const double pos = q * static_cast<double>(xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
-}
-
-std::string
-cpuModel()
-{
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line))
-        if (line.rfind("model name", 0) == 0) {
-            const auto colon = line.find(':');
-            if (colon != std::string::npos)
-                return line.substr(line.find_first_not_of(' ', colon + 1));
-        }
-    return "unknown";
-}
 
 struct TierResult
 {
@@ -191,15 +165,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return 2;
     }
-    const char* forced = std::getenv("AD_FORCE_ISA");
-    std::fprintf(f, "{\n");
-    std::fprintf(f,
-                 "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
-                 "\"ambient_tier\": \"%s\", \"ad_force_isa\": \"%s\", "
-                 "\"compiler\": \"%s\"},\n",
-                 cpuModel().c_str(), std::thread::hardware_concurrency(),
-                 isaTierName(currentIsaTier()), forced ? forced : "",
-                 __VERSION__);
+    std::fprintf(f, "{\n  %s,\n", bench::hostJson().c_str());
     std::fprintf(f,
                  "  \"workload\": {\"frames\": %d, \"width\": %d, "
                  "\"height\": %d, \"seed\": %llu, \"repetitions\": %d},\n",

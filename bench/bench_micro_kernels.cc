@@ -6,27 +6,34 @@
  * matching, NMS, and the two motion planners. These quantify where
  * measured-mode cycles go and guard against performance regressions.
  *
- * On top of the google-benchmark suite, main() runs a fixed GEMM
- * scaling sweep (seed blocked kernel vs packed kernel at 1/2/4/8
- * threads) and records it to BENCH_gemm.json (override the location
- * with --gemm-json=PATH), the artifact backing the
- * parallel-kernel-layer speedup claim in DESIGN.md. The sweep also
- * times the int8 GEMM (nn/gemm_int8.hh) at the same shape and thread
- * counts and records the int8-vs-fp32-packed speedup alongside. The
- * resolved output path is printed when the sweep completes.
+ * On top of the google-benchmark suite, main() records
+ * BENCH_gemm.json (override the location with --gemm-json=PATH), the
+ * artifact backing the NN kernel claims in DESIGN.md: the host
+ * fingerprint; the fp32 GEMM at 512^3 per ISA tier with GEMM and DET
+ * output digests (which must agree); seed blocked kernel vs packed
+ * kernel at the thread counts the host has (1/2/4/8, capped at its
+ * hardware threads); the int8 GEMM (nn/gemm_int8.hh) at the same shape
+ * and thread counts; and per-layer DET accounting at one thread
+ * (median and quartiles per layer, GFLOP/s, and the whole forward).
+ * The resolved output path is printed when the sweep completes.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "bench_report.hh"
+#include "common/isa.hh"
 #include "common/random.hh"
 #include "common/time.hh"
 #include "detect/yolo.hh"
+#include "nn/fusion.hh"
 #include "nn/gemm.hh"
 #include "nn/gemm_int8.hh"
 #include "nn/layers.hh"
@@ -231,12 +238,10 @@ BENCHMARK(BM_Conv2DFusedActivation)->Arg(16)->Arg(64);
 void
 BM_Conv1x1(benchmark::State& state)
 {
-    // 1x1 convolution via im2col (range(1)=0) vs the direct path
-    // (range(1)=1) that feeds the input to GEMM without unfolding.
+    // 1x1 convolution: the implicit GEMM reads the input planes as
+    // its B matrix, no unfold.
     const int channels = static_cast<int>(state.range(0));
-    const bool direct = state.range(1) != 0;
     nn::Conv2D conv("bench", channels, channels, 1, 1, 0);
-    conv.setDirectConv(direct);
     Rng rng(2);
     for (auto& w : conv.weights())
         w = static_cast<float>(rng.uniform(-0.1, 0.1));
@@ -249,25 +254,17 @@ BM_Conv1x1(benchmark::State& state)
     }
     const auto p = conv.profile({channels, 56, 56});
     state.SetItemsProcessed(state.iterations() * p.flops);
-    state.SetLabel(direct ? "direct" : "im2col");
 }
-BENCHMARK(BM_Conv1x1)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_Conv1x1)->Arg(16)->Arg(64);
 
 void
 BM_ConvSmallSpatial(benchmark::State& state)
 {
     // 3x3 convolution on a tiny spatial extent (the deep trunk of the
-    // DET head, where the im2col unfold dominates the arithmetic):
-    // im2col (range(1)=0) vs the scalar direct loop (range(1)=1).
+    // DET head), where every tile touches the padding and packs.
     const int size = static_cast<int>(state.range(0));
-    const bool direct = state.range(1) != 0;
     const int channels = 64;
     nn::Conv2D conv("bench", channels, channels, 3, 1, 1);
-    conv.setDirectConv(direct);
     Rng rng(2);
     for (auto& w : conv.weights())
         w = static_cast<float>(rng.uniform(-0.1, 0.1));
@@ -280,13 +277,8 @@ BM_ConvSmallSpatial(benchmark::State& state)
     }
     const auto p = conv.profile({channels, size, size});
     state.SetItemsProcessed(state.iterations() * p.flops);
-    state.SetLabel(direct ? "direct" : "im2col");
 }
-BENCHMARK(BM_ConvSmallSpatial)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1});
+BENCHMARK(BM_ConvSmallSpatial)->Arg(2)->Arg(4);
 
 void
 BM_DetectorForward(benchmark::State& state)
@@ -461,11 +453,116 @@ BM_LatticePlan(benchmark::State& state)
 }
 BENCHMARK(BM_LatticePlan)->Arg(0)->Arg(20);
 
+/** FNV-1a over the bits of a float buffer: the per-tier digest. */
+std::uint64_t
+floatDigest(const float* data, std::size_t n)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n * sizeof(float); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** DET at its paper-scale input, lowered and planned as YoloDetector. */
+nn::Network
+buildDet(int inputSize)
+{
+    nn::Network net =
+        nn::buildNetwork(nn::detectorSpec(inputSize, 0.25, 4));
+    Rng rng(7);
+    nn::initDetectorWeights(net, rng);
+    const nn::Shape in{1, inputSize, inputSize};
+    nn::lowerNetwork(net, in);
+    net.plan(in);
+    return net;
+}
+
+/**
+ * Per-layer DET accounting at one thread: each repetition times one
+ * whole forwardArena, then every layer's forwardInto in sequence on
+ * private buffers (same shapes, same scratch discipline), so machine
+ * drift falls on the whole and its parts alike. Writes the
+ * "det_layers" member.
+ */
+void
+writeDetLayers(std::FILE* f, nn::Network& det, const nn::Tensor& input)
+{
+    constexpr int reps = 21;
+    const std::size_t n = det.layerCount();
+    std::vector<nn::Shape> shapes(n + 1);
+    shapes[0] = {input.channels(), input.height(), input.width()};
+    std::vector<std::vector<float>> outs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        shapes[i + 1] = det.layer(i).outputShape(shapes[i]);
+        outs[i].assign(shapes[i + 1].elements(), 0.0f);
+    }
+    nn::ForwardScratch scratch;
+    std::vector<double> whole;
+    std::vector<std::vector<double>> layerMs(n);
+    for (int r = -1; r < reps; ++r) { // r = -1 warms caches
+        Stopwatch w;
+        (void)det.forwardArena(input);
+        const double wholeMs = w.elapsedMs();
+        const float* cur = input.data();
+        for (std::size_t i = 0; i < n; ++i) {
+            Stopwatch lw;
+            det.layer(i).forwardInto(cur, shapes[i], outs[i].data(),
+                                     scratch, nn::KernelContext::serial());
+            if (r >= 0)
+                layerMs[i].push_back(lw.elapsedMs());
+            cur = outs[i].data();
+        }
+        if (r >= 0)
+            whole.push_back(wholeMs);
+    }
+    double sum = 0;
+    std::fprintf(f, "  \"det_layers\": {\"input\": %d, \"width\": 0.25, "
+                    "\"threads\": 1, \"tier\": \"%s\", "
+                    "\"repetitions\": %d,\n",
+                 input.height(), isaTierName(currentIsaTier()), reps);
+    std::fprintf(f, "    \"layers\": [\n");
+    for (std::size_t i = 0; i < n; ++i) {
+        const double med = bench::quantile(layerMs[i], 0.5);
+        const double gflops =
+            static_cast<double>(det.layer(i).profile(shapes[i]).flops) /
+            (med * 1e6);
+        sum += med;
+        std::fprintf(f,
+                     "      {\"name\": \"%s\", \"median_ms\": %.4f, "
+                     "\"p25_ms\": %.4f, \"p75_ms\": %.4f, "
+                     "\"gflops\": %.2f}%s\n",
+                     det.layer(i).name().c_str(), med,
+                     bench::quantile(layerMs[i], 0.25),
+                     bench::quantile(layerMs[i], 0.75), gflops,
+                     i + 1 < n ? "," : "");
+        std::printf("det layer %-12s %8.3f ms %7.2f GFLOP/s\n",
+                    det.layer(i).name().c_str(), med, gflops);
+    }
+    const double forwardMs = bench::quantile(whole, 0.5);
+    std::fprintf(f, "    ],\n");
+    std::fprintf(f,
+                 "    \"layer_sum_ms\": %.3f, \"forward_median_ms\": %.3f, "
+                 "\"forward_p25_ms\": %.3f, \"forward_p75_ms\": %.3f}\n",
+                 sum, forwardMs, bench::quantile(whole, 0.25),
+                 bench::quantile(whole, 0.75));
+    std::printf("det forward %.3f ms, layer sum %.3f ms\n", forwardMs, sum);
+}
+
+/**
+ * The BENCH_gemm.json artifact: the packed fp32 GEMM at 512^3 against
+ * the seed kernel across thread counts this host actually has, the
+ * fp32 kernel per ISA tier (time plus GEMM and DET output digests,
+ * which must agree), the int8 GEMM at the same shape, and per-layer
+ * DET accounting.
+ */
 void
 runGemmScalingSweep(const char* path)
 {
     constexpr std::size_t n = 512;
-    constexpr int reps = 3;
+    constexpr int reps = 5;
     Rng rng(1);
     std::vector<float> a(n * n);
     std::vector<float> b(n * n);
@@ -482,82 +579,121 @@ runGemmScalingSweep(const char* path)
     for (auto& v : qb)
         v = static_cast<std::int8_t>(rng.uniformInt(-127, 127));
 
-    const auto bestOf = [&](const std::function<void()>& fn) {
-        double best = 0;
+    const auto medianOf = [&](const std::function<void()>& fn) {
+        std::vector<double> ms;
         for (int r = 0; r < reps; ++r) {
             std::fill(c.begin(), c.end(), 0.0f);
             Stopwatch watch;
             fn();
-            const double ms = watch.elapsedMs();
-            if (r == 0 || ms < best)
-                best = ms;
+            ms.push_back(watch.elapsedMs());
         }
-        return best;
+        return bench::quantile(ms, 0.5);
     };
-
-    const double baselineMs = bestOf([&] {
-        nn::gemmBlockedReference(n, n, n, a.data(), b.data(), c.data());
-    });
 
     std::FILE* f = std::fopen(path, "w");
     if (!f) {
         std::fprintf(stderr, "cannot write %s\n", path);
         return;
     }
-    std::fprintf(f, "{\n  \"kernel\": \"sgemm\",\n");
+    std::fprintf(f, "{\n  %s,\n", bench::hostJson().c_str());
+    std::fprintf(f, "  \"kernel\": \"sgemm\",\n");
     std::fprintf(f, "  \"m\": %zu, \"n\": %zu, \"k\": %zu,\n", n, n, n);
-    std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-                 std::thread::hardware_concurrency());
+
+    // Per tier, one thread: time plus the output digests. DET runs
+    // once per tier for its digest; the per-layer timing below runs at
+    // the ambient tier only.
+    nn::Network det = buildDet(416);
+    nn::Tensor detIn(1, 416, 416);
+    Rng inRng(21);
+    for (std::size_t i = 0; i < detIn.size(); ++i)
+        detIn.data()[i] = static_cast<float>(inRng.uniform());
+    std::fprintf(f, "  \"tiers\": [\n");
+    const auto tiers = availableIsaTiers();
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+        setIsaTier(tiers[t]);
+        const double ms = medianOf([&] {
+            nn::gemm(n, n, n, a.data(), b.data(), c.data());
+        });
+        const std::uint64_t gemmDigest = floatDigest(c.data(), c.size());
+        const nn::Tensor& out = det.forwardArena(detIn);
+        const std::uint64_t detDigest = floatDigest(out.data(), out.size());
+        const double gflops = 2.0 * n * n * n / (ms * 1e6);
+        std::fprintf(f,
+                     "    {\"tier\": \"%s\", \"ms\": %.3f, \"gflops\": %.2f, "
+                     "\"gemm_digest\": \"%016llx\", "
+                     "\"det_digest\": \"%016llx\"}%s\n",
+                     tiers[t].c_str(), ms, gflops,
+                     static_cast<unsigned long long>(gemmDigest),
+                     static_cast<unsigned long long>(detDigest),
+                     t + 1 < tiers.size() ? "," : "");
+        std::printf("gemm %zu^3 tier=%s: %.3f ms (%.1f GFLOP/s), digests "
+                    "gemm %016llx det %016llx\n",
+                    n, tiers[t].c_str(), ms, gflops,
+                    static_cast<unsigned long long>(gemmDigest),
+                    static_cast<unsigned long long>(detDigest));
+    }
+    setIsaTier("");
+    std::fprintf(f, "  ],\n");
+
+    // Thread scaling, ambient tier: only thread counts this host has
+    // hardware for -- more would measure oversubscription, not scaling.
+    const double baselineMs = medianOf([&] {
+        nn::gemmBlockedReference(n, n, n, a.data(), b.data(), c.data());
+    });
     std::fprintf(f, "  \"baseline\": \"gemmBlockedReference\",\n");
     std::fprintf(f, "  \"baseline_ms\": %.3f,\n", baselineMs);
+    std::vector<int> threadCounts;
+    for (const int threads : {1, 2, 4, 8})
+        if (threads == 1 ||
+            static_cast<unsigned>(threads) <=
+                std::thread::hardware_concurrency())
+            threadCounts.push_back(threads);
     std::fprintf(f, "  \"results\": [\n");
-    const int threadCounts[] = {1, 2, 4, 8};
     double fp32SerialMs = 0;
-    bool first = true;
-    for (const int threads : threadCounts) {
+    for (std::size_t i = 0; i < threadCounts.size(); ++i) {
+        const int threads = threadCounts[i];
         const nn::KernelContext ctx = nn::kernelContext(threads);
-        const double ms = bestOf([&] {
+        const double ms = medianOf([&] {
             nn::gemm(n, n, n, a.data(), b.data(), c.data(), ctx);
         });
         if (threads == 1)
             fp32SerialMs = ms;
-        if (!first)
-            std::fprintf(f, ",\n");
-        first = false;
         std::fprintf(f,
                      "    {\"threads\": %d, \"ms\": %.3f, "
-                     "\"speedup_vs_baseline\": %.2f}",
-                     threads, ms, baselineMs / ms);
+                     "\"speedup_vs_baseline\": %.2f}%s\n",
+                     threads, ms, baselineMs / ms,
+                     i + 1 < threadCounts.size() ? "," : "");
         std::printf("gemm %zux%zux%zu threads=%d: %.3f ms "
                     "(%.2fx vs seed kernel)\n",
                     n, n, n, threads, ms, baselineMs / ms);
     }
-    std::fprintf(f, "\n  ],\n");
+    std::fprintf(f, "  ],\n");
 
     // The quantized kernel at the same shape: speedups are quoted
     // against the fp32 packed serial kernel (the production fp32
     // path), not the seed baseline.
     std::fprintf(f, "  \"int8_isa\": \"%s\",\n", nn::int8KernelIsa());
     std::fprintf(f, "  \"int8_results\": [\n");
-    first = true;
-    for (const int threads : threadCounts) {
+    for (std::size_t i = 0; i < threadCounts.size(); ++i) {
+        const int threads = threadCounts[i];
         const nn::KernelContext ctx = nn::kernelContext(threads);
-        const double ms = bestOf([&] {
+        const double ms = medianOf([&] {
             nn::gemmInt8(n, n, n, qa.data(), qb.data(), qc.data(), ctx);
         });
-        if (!first)
-            std::fprintf(f, ",\n");
-        first = false;
         std::fprintf(f,
                      "    {\"threads\": %d, \"ms\": %.3f, "
-                     "\"speedup_vs_fp32_packed\": %.2f}",
-                     threads, ms, fp32SerialMs / ms);
+                     "\"speedup_vs_fp32_packed\": %.2f}%s\n",
+                     threads, ms, fp32SerialMs / ms,
+                     i + 1 < threadCounts.size() ? "," : "");
         std::printf("gemm-int8 %zux%zux%zu threads=%d: %.3f ms "
                     "(%.2fx vs fp32 packed serial, isa=%s)\n",
                     n, n, n, threads, ms, fp32SerialMs / ms,
                     nn::int8KernelIsa());
     }
-    std::fprintf(f, "\n  ]\n}\n");
+    std::fprintf(f, "  ],\n");
+
+    writeDetLayers(f, det, detIn);
+    std::fprintf(f, "}\n");
     std::fclose(f);
     char resolved[4096];
     if (path[0] != '/' && ::realpath(path, resolved))

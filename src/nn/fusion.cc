@@ -43,26 +43,14 @@ lowerNetwork(Network& net, const Shape& input, const LoweringOptions& opt)
             ++report.fusedActivations;
         Layer& layer = net.mutableLayer(i);
         const Shape out = layer.outputShape(s);
+        // Integer path: only the copy-free 1x1 case wins (no scalar
+        // direct kernel; see QuantConv2D::setDirectConv).
         if (opt.directConv) {
-            if (auto* conv = dynamic_cast<Conv2D*>(&layer)) {
-                const bool oneByOne = conv->kernel() == 1 &&
-                                      conv->stride() == 1 &&
-                                      conv->pad() == 0;
-                const bool tiny =
-                    out.h * out.w <= opt.directConvMaxPixels;
-                if (oneByOne || tiny) {
-                    conv->setDirectConv(true);
-                    ++report.directConvs;
-                }
-            } else if (auto* qconv =
-                           dynamic_cast<QuantConv2D*>(&layer)) {
-                // Integer path: only the copy-free 1x1 case wins (no
-                // scalar direct kernel; see QuantConv2D::setDirectConv).
-                if (qconv->kernel() == 1 && qconv->stride() == 1 &&
-                    qconv->pad() == 0) {
-                    qconv->setDirectConv(true);
-                    ++report.directConvs;
-                }
+            if (auto* qconv = dynamic_cast<QuantConv2D*>(&layer);
+                qconv && qconv->kernel() == 1 && qconv->stride() == 1 &&
+                qconv->pad() == 0) {
+                qconv->setDirectConv(true);
+                ++report.directConvs;
             }
         }
         // Activation preserves shape, so the fused layer's output

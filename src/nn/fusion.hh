@@ -35,24 +35,15 @@ struct LoweringOptions
 {
     /** Fold conv/FC + activation pairs into fused layers. */
     bool fuseActivations = true;
-    /** Mark unfold-free convolutions (1x1 and small outputs). */
+    /** Mark unfold-free (1x1/stride-1/pad-0) int8 convolutions. */
     bool directConv = true;
-    /**
-     * Largest output pixel count (h*w) lowered to the scalar direct
-     * loop for non-1x1 fp32 convs. Default 0: disabled. Measured on
-     * this host (bench_micro_kernels BM_ConvSmallSpatial), the packed
-     * GEMM on the unfolded matrix beats the scalar loop even at 2x2
-     * outputs -- the unfold is cheap next to losing vectorization --
-     * so only the copy-free 1x1 case is marked by default.
-     */
-    int directConvMaxPixels = 0;
 };
 
 /** What the pass did, for logs/benches/tests. */
 struct LoweringReport
 {
     std::size_t fusedActivations = 0;
-    std::size_t directConvs = 0;
+    std::size_t directConvs = 0; ///< int8 convs marked direct.
 };
 
 /**

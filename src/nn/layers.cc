@@ -22,47 +22,6 @@ layerKindName(LayerKind kind)
 
 namespace {
 
-/**
- * im2col: unfold kernel-sized patches of the input into columns so the
- * convolution becomes one GEMM. Output is (inC * k * k) x (outH * outW),
- * row-major. The (c, ky, kx) rows are independent pure writes, so they
- * shard across the kernel context with bitwise-deterministic results.
- */
-void
-im2col(const float* in, int inC, int inH, int inW, int kernel,
-       int stride, int pad, int outH, int outW, std::vector<float>& cols,
-       const KernelContext& ctx)
-{
-    const std::size_t rows =
-        static_cast<std::size_t>(inC) * kernel * kernel;
-    scratchAssign(cols, rows * outH * outW, 0.0f);
-    kernelParallelFor(ctx, 0, rows, 4, [&](std::size_t lo,
-                                           std::size_t hi) {
-        for (std::size_t rowIdx = lo; rowIdx < hi; ++rowIdx) {
-            const int kx = static_cast<int>(rowIdx % kernel);
-            const int ky = static_cast<int>(rowIdx / kernel % kernel);
-            const int c = static_cast<int>(rowIdx / kernel / kernel);
-            const float* plane =
-                in + static_cast<std::size_t>(c) * inH * inW;
-            float* dst = cols.data() +
-                rowIdx * static_cast<std::size_t>(outH) * outW;
-            for (int oy = 0; oy < outH; ++oy) {
-                const int iy = oy * stride - pad + ky;
-                if (iy < 0 || iy >= inH) {
-                    dst += outW;
-                    continue;
-                }
-                const float* srcRow = plane +
-                    static_cast<std::size_t>(iy) * inW;
-                for (int ox = 0; ox < outW; ++ox) {
-                    const int ix = ox * stride - pad + kx;
-                    *dst++ = (ix < 0 || ix >= inW) ? 0.0f : srcRow[ix];
-                }
-            }
-        }
-    });
-}
-
 int
 convOutDim(int in, int kernel, int stride, int pad)
 {
@@ -112,123 +71,26 @@ Conv2D::outputShape(const Shape& in) const
     return {outChannels_, oh, ow};
 }
 
-/**
- * Direct convolution without the im2col unfold: each output channel's
- * plane is one shard, and every output element accumulates its taps in
- * exactly im2col's (c, ky, kx) row order -- padded taps contribute an
- * explicit `w * 0.0f` term, the same operation GEMM performs on the
- * zero entries of the unfolded matrix -- so the float sum chain, and
- * therefore the result, is bit-identical to the im2col + GEMM path.
- */
-void
-Conv2D::directRun(const float* in, const Shape& inShape,
-                  const Shape& outShape, float* out,
-                  const KernelContext& ctx) const
-{
-    const int inH = inShape.h;
-    const int inW = inShape.w;
-    const int outH = outShape.h;
-    const int outW = outShape.w;
-    const std::size_t n =
-        static_cast<std::size_t>(outH) * static_cast<std::size_t>(outW);
-    const std::size_t filterSize =
-        static_cast<std::size_t>(inChannels_) * kernel_ * kernel_;
-    kernelParallelFor(ctx, 0, static_cast<std::size_t>(outChannels_), 1,
-                      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t oc = lo; oc < hi; ++oc) {
-            const float* w = weights_.data() + oc * filterSize;
-            float* plane = out + oc * n;
-            for (int oy = 0; oy < outH; ++oy) {
-                for (int ox = 0; ox < outW; ++ox) {
-                    float acc = plane[static_cast<std::size_t>(oy) * outW +
-                                      ox];
-                    const float* wp = w;
-                    for (int c = 0; c < inChannels_; ++c) {
-                        const float* src = in +
-                            static_cast<std::size_t>(c) * inH * inW;
-                        for (int ky = 0; ky < kernel_; ++ky) {
-                            const int iy = oy * stride_ - pad_ + ky;
-                            const float* row =
-                                (iy < 0 || iy >= inH)
-                                    ? nullptr
-                                    : src + static_cast<std::size_t>(iy) *
-                                          inW;
-                            for (int kx = 0; kx < kernel_; ++kx, ++wp) {
-                                const int ix = ox * stride_ - pad_ + kx;
-                                const float v =
-                                    (!row || ix < 0 || ix >= inW)
-                                        ? 0.0f
-                                        : row[ix];
-                                acc += *wp * v;
-                            }
-                        }
-                    }
-                    plane[static_cast<std::size_t>(oy) * outW + ox] = acc;
-                }
-            }
-        }
-    });
-}
-
-/**
- * Bias (+ optionally fused activation) pass. The zero-bias skip of the
- * unfused path is preserved exactly: adding 0.0f is not a no-op in
- * IEEE float (it flips -0.0 to +0.0), so the fused epilogue must make
- * the same skip decision to stay bitwise-identical.
- */
-void
-Conv2D::epilogue(float* out, const Shape& outShape) const
-{
-    const std::size_t n = static_cast<std::size_t>(outShape.h) *
-                          static_cast<std::size_t>(outShape.w);
-    const float slope = fusedSlope_;
-    for (int oc = 0; oc < outShape.c; ++oc) {
-        const float b = bias_[static_cast<std::size_t>(oc)];
-        float* plane = out + static_cast<std::size_t>(oc) * n;
-        if (!fusedAct_) {
-            if (b == 0.0f)
-                continue;
-            for (std::size_t i = 0; i < n; ++i)
-                plane[i] += b;
-        } else if (b != 0.0f) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const float v = plane[i] + b;
-                plane[i] = v > 0.0f ? v : slope * v;
-            }
-        } else {
-            for (std::size_t i = 0; i < n; ++i) {
-                const float v = plane[i];
-                plane[i] = v > 0.0f ? v : slope * v;
-            }
-        }
-    }
-}
-
 void
 Conv2D::forwardInto(const float* in, const Shape& inShape, float* out,
-                    ForwardScratch& scratch,
-                    const KernelContext& ctx) const
+                    ForwardScratch&, const KernelContext& ctx) const
 {
-    const Shape out_ = outputShape(inShape);
-    const std::size_t m = outChannels_;
-    const std::size_t k = static_cast<std::size_t>(inChannels_) * kernel_ *
-                          kernel_;
-    const std::size_t n = static_cast<std::size_t>(out_.h) * out_.w;
-    std::fill(out, out + out_.elements(), 0.0f);
-
-    if (direct_ && kernel_ == 1 && stride_ == 1 && pad_ == 0) {
-        // 1x1/s1/p0: the im2col matrix IS the input (inC x (h*w)),
-        // so GEMM consumes the input planes directly -- identical
-        // operands, identical result, no unfold traffic at all.
-        gemm(m, n, k, weights_.data(), in, out, ctx);
-    } else if (direct_) {
-        directRun(in, inShape, out_, out, ctx);
-    } else {
-        im2col(in, inShape.c, inShape.h, inShape.w, kernel_, stride_,
-               pad_, out_.h, out_.w, scratch.cols, ctx);
-        gemm(m, n, k, weights_.data(), scratch.cols.data(), out, ctx);
-    }
-    epilogue(out, out_);
+    const Shape os = outputShape(inShape);
+    ConvGeometry g;
+    g.channels = inShape.c;
+    g.height = inShape.h;
+    g.width = inShape.w;
+    g.kernel = kernel_;
+    g.stride = stride_;
+    g.pad = pad_;
+    g.outHeight = os.h;
+    g.outWidth = os.w;
+    ConvEpilogue ep;
+    ep.bias = bias_.data();
+    ep.activate = fusedAct_;
+    ep.slope = fusedSlope_;
+    convolve(static_cast<std::size_t>(outChannels_), weights_.data(), in,
+             g, out, ep, ctx);
 }
 
 void

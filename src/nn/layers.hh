@@ -1,7 +1,7 @@
 /**
  * @file
  * Layer zoo for the from-scratch DNN inference engine: convolution
- * (im2col + GEMM), max pooling, ReLU/LeakyReLU activations and fully
+ * (implicit GEMM), max pooling, ReLU/LeakyReLU activations and fully
  * connected layers -- exactly the layer types the paper's FPGA design
  * supports ("all the types of layers used in DET and TRA, including
  * convolutional layers, pooling layers, ReLu layers and fully connected
@@ -77,7 +77,6 @@ struct Shape
  */
 struct ForwardScratch
 {
-    std::vector<float> cols;        ///< fp32 im2col matrix.
     std::vector<std::int8_t> qin;   ///< quantized input tensor.
     std::vector<std::int8_t> qcols; ///< int8 im2col matrix.
     std::vector<std::int16_t> qx;   ///< pre-widened FC activation.
@@ -146,7 +145,9 @@ class Layer
 
 /**
  * 2D convolution with square kernel, symmetric zero padding and fused
- * optional bias. Lowered to GEMM through im2col.
+ * optional bias, run as an implicit GEMM (nn::convolve in gemm.hh):
+ * no unfolded matrix is materialized, and the bias and any fused
+ * activation are applied in the kernel's final store.
  */
 class Conv2D : public Layer
 {
@@ -194,29 +195,11 @@ class Conv2D : public Layer
     bool hasFusedActivation() const { return fusedAct_; }
     float fusedSlope() const { return fusedSlope_; }
 
-    /**
-     * Skip im2col: 1x1/stride-1/pad-0 convs feed the input planes to
-     * GEMM directly (the unfold would be a pure copy), and other
-     * geometries run a scalar direct loop that accumulates taps in
-     * im2col's (c, ky, kx) order with padded taps as explicit zero
-     * multiplies -- either way the result is bitwise-identical to the
-     * im2col path. Set by the lowering pass where skipping the unfold
-     * wins (1x1 always; small outputs where GEMM cannot amortize the
-     * unfold).
-     */
-    void setDirectConv(bool on) { direct_ = on; }
-    bool directConv() const { return direct_; }
-
     void forwardInto(const float* in, const Shape& inShape, float* out,
                      ForwardScratch& scratch,
                      const KernelContext& ctx) const override;
 
   private:
-    void directRun(const float* in, const Shape& inShape,
-                   const Shape& outShape, float* out,
-                   const KernelContext& ctx) const;
-    void epilogue(float* out, const Shape& outShape) const;
-
     int inChannels_;
     int outChannels_;
     int kernel_;
@@ -224,7 +207,6 @@ class Conv2D : public Layer
     int pad_;
     bool fusedAct_ = false;
     float fusedSlope_ = 0.0f;
-    bool direct_ = false;
     std::vector<float> weights_; ///< outC x (inC * k * k), row-major.
     std::vector<float> bias_;    ///< outC.
 };

@@ -1,25 +1,30 @@
 /**
  * @file
- * Property tests for the GEMM/GEMV kernels: the blocked implementation
+ * Property tests for the GEMM/GEMV kernels: the packed implementation
  * must agree with the naive reference over a sweep of shapes, including
- * degenerate and non-square cases, since all DNN compute lowers to it.
+ * degenerate and non-square cases, since all DNN compute lowers to it
+ * -- bit for bit at every ISA tier and thread count.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/isa.hh"
 #include "common/random.hh"
 #include "nn/gemm.hh"
 #include "nn/kernel_context.hh"
+#include "nn_reference.hh"
 
 namespace {
 
 using ad::Rng;
 using ad::nn::gemm;
 using ad::nn::gemmBlockedReference;
-using ad::nn::gemmNaive;
+using ad::nn::testref::gemmNaive;
 using ad::nn::gemv;
 using ad::nn::kernelContext;
 
@@ -163,6 +168,49 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(129, 257, 513),
                       std::make_tuple(1, 8, 256),
                       std::make_tuple(16, 169, 144)));
+
+/** Restores the ambient ISA tier when a cross-tier test ends. */
+struct TierGuard
+{
+    ~TierGuard() { ad::setIsaTier(""); }
+};
+
+/**
+ * The tier contract of the fp32 kernel: every tile kernel the host can
+ * run (portable at scalar/sse2, AVX2 above), at every thread count,
+ * reproduces the naive loop's float operations exactly. Row counts
+ * straddle the 4-row tile, column counts are never a multiple of the
+ * 16-column tile, and depths cross the 256-deep k-block and the
+ * in-place read threshold.
+ */
+TEST(GemmTiers, EveryTierAndThreadCountMatchesNaiveBitwise)
+{
+    const TierGuard guard;
+    Rng rng(4242);
+    for (const std::size_t m : {1, 3, 4, 5, 17}) {
+        for (const std::size_t n : {1, 13, 37, 100}) {
+            for (const std::size_t k : {1, 9, 36, 257, 600}) {
+                const auto a = randomMatrix(m * k, rng);
+                const auto b = randomMatrix(k * n, rng);
+                const auto c0 = randomMatrix(m * n, rng);
+                std::vector<float> ref = c0;
+                gemmNaive(m, n, k, a.data(), b.data(), ref.data());
+                for (const std::string& tier : ad::availableIsaTiers()) {
+                    ASSERT_TRUE(ad::setIsaTier(tier)) << tier;
+                    for (const int threads : {1, 2, 8}) {
+                        std::vector<float> got = c0;
+                        gemm(m, n, k, a.data(), b.data(), got.data(),
+                             kernelContext(threads));
+                        ASSERT_EQ(0, std::memcmp(got.data(), ref.data(),
+                                                 ref.size() * sizeof(float)))
+                            << "tier " << tier << " threads " << threads
+                            << " shape " << m << "x" << n << "x" << k;
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(Gemv, ParallelBitwiseEqualsSerial)
 {

@@ -7,10 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "common/isa.hh"
 #include "common/random.hh"
+#include "nn/fusion.hh"
 #include "nn/layers.hh"
+#include "nn/models.hh"
+#include "nn/network.hh"
+#include "nn_reference.hh"
 
 namespace {
 
@@ -356,6 +366,140 @@ TEST(LayerKindNames, AreStable)
     EXPECT_STREQ(layerKindName(LayerKind::Pool), "pool");
     EXPECT_STREQ(layerKindName(LayerKind::Activation), "act");
     EXPECT_STREQ(layerKindName(LayerKind::FullyConnected), "fc");
+}
+
+/** Restores the ambient ISA tier when a cross-tier test ends. */
+struct TierGuard
+{
+    ~TierGuard() { ad::setIsaTier(""); }
+};
+
+bool
+bitwiseEqual(const Tensor& a, const Tensor& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/**
+ * The implicit-GEMM convolution against the explicit im2col + naive
+ * GEMM lowering it replaced, bit for bit, at every ISA tier and thread
+ * count. The geometry sweep covers every kernel/stride/pad/channel
+ * combination DET and TRA use and more; spatial sizes cycle from 1x1
+ * to a 103-wide input, so tiles land inside one output row, wrap onto
+ * the next, touch the padding and read the input in place. Weights
+ * include exact zeros (their products with negative inputs are -0.0,
+ * which the +0.0f accumulator start must absorb), and the epilogue
+ * cycles through unfused/fused and zero/nonzero bias.
+ */
+TEST(Conv2DTiers, EveryTierAndThreadCountMatchesIm2colBitwise)
+{
+    const TierGuard guard;
+    const int sizes[][2] = {{1, 1}, {2, 3}, {5, 7}, {12, 17}, {31, 33},
+                            {9, 103}};
+    const int outChannels[] = {1, 4, 5, 8};
+    Rng rng(2024);
+    int index = 0;
+    for (const int kernel : {1, 3, 5, 11}) {
+        for (const int stride : {1, 2, 4}) {
+            for (const int pad : {0, 1, 2}) {
+                for (const int inC : {1, 3, 4, 8}) {
+                    const int* size = sizes[index % 6];
+                    const int h = std::max(size[0], kernel - 2 * pad);
+                    const int w = std::max(size[1], kernel - 2 * pad);
+                    const int outC = outChannels[index % 4];
+                    const bool fused = index % 2 == 1;
+                    const bool zeroBias = index / 2 % 2 == 0;
+                    ++index;
+                    Conv2D conv("c", inC, outC, kernel, stride, pad);
+                    for (std::size_t i = 0; i < conv.weights().size(); ++i)
+                        conv.weights()[i] =
+                            i % 5 == 0 ? 0.0f
+                                       : static_cast<float>(
+                                             rng.uniform(-0.5, 0.5));
+                    for (std::size_t i = 0; i < conv.bias().size(); ++i)
+                        conv.bias()[i] =
+                            zeroBias || i % 3 == 0
+                                ? 0.0f
+                                : static_cast<float>(rng.uniform(-0.5, 0.5));
+                    if (fused)
+                        conv.fuseActivation(0.1f);
+                    const Tensor in = randomTensor(inC, h, w, rng);
+                    const Tensor ref = testref::convIm2col(conv, in);
+                    for (const std::string& tier : ad::availableIsaTiers()) {
+                        ASSERT_TRUE(ad::setIsaTier(tier)) << tier;
+                        for (const int threads : {1, 2, 8}) {
+                            ASSERT_TRUE(bitwiseEqual(
+                                conv.forward(in, kernelContext(threads)),
+                                ref))
+                                << "tier " << tier << " threads " << threads
+                                << " k" << kernel << " s" << stride << " p"
+                                << pad << " c" << inC << "->" << outC << " "
+                                << h << "x" << w << (fused ? " fused" : "")
+                                << (zeroBias ? " zero-bias" : "");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+std::uint64_t
+fnv1a(const Tensor& t)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+    for (std::size_t i = 0; i < t.size() * sizeof(float); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * DET at its 416 input and TRA's conv branch at a 227 crop, lowered as
+ * the engines lower them: every tier and thread count produces the
+ * same output bits, and those bits are the ones the im2col + packed
+ * GEMM lowering produced before the implicit-GEMM path replaced it
+ * (the golden digests), so the detector and tracker see unchanged
+ * numerics.
+ */
+TEST(Conv2DTiers, DetAndTraOutputsEqualAcrossTiersAndGolden)
+{
+    const TierGuard guard;
+    struct Case
+    {
+        ModelSpec spec;
+        bool detector;
+        std::uint64_t golden;
+    };
+    const Case cases[] = {
+        {detectorSpec(416, 0.25, 4), true, 0x76b7c6c11d21e4d7ull},
+        {trackerConvSpec(227, 0.25), false, 0x72e4706433086db2ull},
+    };
+    for (const Case& c : cases) {
+        Network net = buildNetwork(c.spec);
+        Rng weightRng(c.detector ? 7 : 11);
+        if (c.detector)
+            initDetectorWeights(net, weightRng);
+        else
+            initTrackerWeights(net, weightRng);
+        lowerNetwork(net, c.spec.input);
+        Tensor input(c.spec.input.c, c.spec.input.h, c.spec.input.w);
+        Rng inRng(c.detector ? 21 : 5);
+        for (std::size_t i = 0; i < input.size(); ++i)
+            input.data()[i] = static_cast<float>(inRng.uniform());
+        for (const std::string& tier : ad::availableIsaTiers()) {
+            ASSERT_TRUE(ad::setIsaTier(tier)) << tier;
+            for (const int threads : {1, 2, 8}) {
+                EXPECT_EQ(fnv1a(net.forward(input, kernelContext(threads))),
+                          c.golden)
+                    << c.spec.name << " tier " << tier << " threads "
+                    << threads;
+            }
+        }
+    }
 }
 
 } // namespace

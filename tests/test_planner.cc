@@ -19,6 +19,7 @@
 #include "nn/models.hh"
 #include "nn/planner.hh"
 #include "nn/quant.hh"
+#include "nn_reference.hh"
 
 namespace {
 
@@ -269,6 +270,12 @@ TEST(Planner, StructuralEditDropsPlan)
 
 TEST(DirectConv, MatchesIm2colBitwise)
 {
+    // The implicit-GEMM convolution (the only fp32 conv path: 1x1
+    // convs feed their input planes to the kernel, stride-1 interior
+    // tiles read the input in place, every other tile packs straight
+    // from the input) must equal the explicit im2col + GEMM lowering
+    // bit for bit, lowered with its fused epilogue or not, at any
+    // thread count.
     Rng rng(31);
     // Negative weights and biases exercise the leaky branch and the
     // signed-zero-sensitive epilogue.
@@ -277,51 +284,38 @@ TEST(DirectConv, MatchesIm2colBitwise)
         int inC, outC, kernel, stride, pad, size;
     };
     const Case cases[] = {
-        {3, 8, 1, 1, 0, 7},   // 1x1: unfold-free B feed.
-        {4, 6, 3, 1, 1, 4},   // small output: scalar direct loop.
+        {3, 8, 1, 1, 0, 7},   // 1x1: the input planes are the B matrix.
+        {4, 6, 3, 1, 1, 4},   // small output: every tile is an edge.
         {2, 5, 3, 2, 1, 5},
+        {1, 4, 3, 1, 1, 40},  // DET conv1 shape: interior tiles in place.
     };
     for (const auto& c : cases) {
         for (const bool fused : {false, true}) {
-            Network ref("ref");
             Network dir("dir");
-            auto& rconv = ref.add<Conv2D>("conv", c.inC, c.outC,
-                                          c.kernel, c.stride, c.pad);
             auto& dconv = dir.add<Conv2D>("conv", c.inC, c.outC,
                                           c.kernel, c.stride, c.pad);
-            for (std::size_t i = 0; i < rconv.weights().size(); ++i) {
-                const float w =
-                    static_cast<float>(rng.uniform(-1.0, 1.0));
-                rconv.weights()[i] = w;
-                dconv.weights()[i] = w;
-            }
-            for (std::size_t i = 0; i < rconv.bias().size(); ++i) {
-                const float b =
-                    static_cast<float>(rng.uniform(-0.5, 0.5));
-                rconv.bias()[i] = b;
-                dconv.bias()[i] = b;
-            }
+            for (float& w : dconv.weights())
+                w = static_cast<float>(rng.uniform(-1.0, 1.0));
+            for (float& b : dconv.bias())
+                b = static_cast<float>(rng.uniform(-0.5, 0.5));
             if (fused) {
-                ref.add<Activation>("act", 0.1f);
                 dir.add<Activation>("act", 0.1f);
-                // Opt into the tiny-output scalar direct loop (off by
-                // default; 1x1 is the always-on case).
-                LoweringOptions opt;
-                opt.directConvMaxPixels = 16;
-                lowerNetwork(dir, {c.inC, c.size, c.size}, opt);
-            } else {
-                dconv.setDirectConv(true);
+                lowerNetwork(dir, {c.inC, c.size, c.size});
             }
             Rng inRng(17);
             Tensor input(c.inC, c.size, c.size);
             for (std::size_t i = 0; i < input.size(); ++i)
                 input.data()[i] =
                     static_cast<float>(inRng.uniform(-1.0, 1.0));
+            // The reference: im2col + naive GEMM + bias, then the
+            // standalone activation for the fused network.
+            Tensor expected = testref::convIm2col(dconv, input);
+            if (fused && !dconv.hasFusedActivation())
+                FAIL() << "lowering did not fuse the activation";
             for (const int threads : {1, 0}) {
                 const KernelContext ctx = kernelContext(threads);
-                expectBitwiseEqual(
-                    dir.forward(input, ctx), ref.forward(input, ctx),
-                    "direct conv");
+                expectBitwiseEqual(dir.forward(input, ctx), expected,
+                                   "direct conv");
             }
         }
     }

@@ -69,24 +69,77 @@ class Checker:
         return val
 
 
+def check_host(c, doc):
+    """The host fingerprint block; returns its nproc (or None)."""
+    host = c.require(doc, "host", [dict])
+    if host is None:
+        return None
+    for key in ("cpu", "ambient_tier", "compiler"):
+        c.require(host, key, [str], "host")
+    c.require(host, "ad_force_isa", [str], "host")
+    return c.number(host, "nproc", "host", minimum=1)
+
+
 def check_gemm(c, doc):
-    """BENCH_gemm.json: the kernel-layer scaling sweep."""
+    """BENCH_gemm.json: the NN kernel-layer artifact.
+
+    Bars: a host block; thread-scaling rows only for thread counts the
+    host has (a row above nproc measures oversubscription, not
+    scaling); every ISA tier produces the same GEMM and DET output
+    digests; and the per-layer DET medians sum to within 5% of the
+    whole-forward median, so the layer table accounts for the forward.
+    """
+    nproc = check_host(c, doc)
     c.require(doc, "kernel", [str])
     for key in ("m", "n", "k"):
         c.number(doc, key, minimum=1)
+    tiers = c.rows(doc, "tiers")
+    names = set()
+    for i, row in enumerate(tiers):
+        ctx = f"tiers[{i}]"
+        names.add(c.require(row, "tier", [str], ctx))
+        c.number(row, "ms", ctx, minimum=0)
+        c.number(row, "gflops", ctx, minimum=0)
+        for key in ("gemm_digest", "det_digest"):
+            c.require(row, key, [str], ctx)
+    if tiers and "scalar" not in names:
+        c.fail('no "scalar" tier row')
+    for key in ("gemm_digest", "det_digest"):
+        digests = {r.get(key) for r in tiers}
+        if len(digests) > 1:
+            c.fail(f"tier {key}s differ: {sorted(map(str, digests))}")
     c.require(doc, "baseline", [str])
     c.number(doc, "baseline_ms", minimum=0)
-    for i, row in enumerate(c.rows(doc, "results")):
-        ctx = f"results[{i}]"
-        c.number(row, "threads", ctx, minimum=1)
-        c.number(row, "ms", ctx, minimum=0)
-        c.number(row, "speedup_vs_baseline", ctx, minimum=0)
     c.require(doc, "int8_isa", [str])
-    for i, row in enumerate(c.rows(doc, "int8_results")):
-        ctx = f"int8_results[{i}]"
-        c.number(row, "threads", ctx, minimum=1)
-        c.number(row, "ms", ctx, minimum=0)
-        c.number(row, "speedup_vs_fp32_packed", ctx, minimum=0)
+    for key, speedup in (("results", "speedup_vs_baseline"),
+                         ("int8_results", "speedup_vs_fp32_packed")):
+        for i, row in enumerate(c.rows(doc, key)):
+            ctx = f"{key}[{i}]"
+            threads = c.number(row, "threads", ctx, minimum=1)
+            c.number(row, "ms", ctx, minimum=0)
+            c.number(row, speedup, ctx, minimum=0)
+            if (threads is not None and isinstance(nproc, int)
+                    and threads > nproc):
+                c.fail(f"{ctx}: {threads} threads on a host with nproc "
+                       f"{nproc} is not scaling")
+    det = c.require(doc, "det_layers", [dict])
+    if det is None:
+        return
+    for key in ("input", "threads", "repetitions"):
+        c.number(det, key, "det_layers", minimum=1)
+    total = 0.0
+    for i, row in enumerate(c.rows(det, "layers", ctx="det_layers")):
+        ctx = f"det_layers.layers[{i}]"
+        c.require(row, "name", [str], ctx)
+        for key in ("p25_ms", "p75_ms", "gflops"):
+            c.number(row, key, ctx, minimum=0)
+        med = c.number(row, "median_ms", ctx, minimum=0)
+        total += med if isinstance(med, (int, float)) else 0.0
+    forward = c.number(det, "forward_median_ms", "det_layers", minimum=0)
+    if forward:
+        if abs(total - forward) > 0.05 * forward:
+            c.fail(f"det_layers: layer medians sum to {total:.3f} ms, "
+                   f"not within 5% of the {forward:.3f} ms forward")
 
 
 def check_serve(c, doc):
@@ -447,11 +500,7 @@ def check_vision(c, doc):
     Bars: the best tier's median is at least 3x faster than the scalar
     tier's, and every tier extracts the same features (equal digests).
     """
-    host = c.require(doc, "host", [dict])
-    if host is not None:
-        for key in ("cpu", "ambient_tier", "compiler"):
-            c.require(host, key, [str], "host")
-        c.number(host, "nproc", "host", minimum=1)
+    check_host(c, doc)
     work = c.require(doc, "workload", [dict])
     if work is not None:
         for key in ("frames", "width", "height", "repetitions"):
